@@ -20,8 +20,10 @@ from dataclasses import dataclass
 from .errors import (
     CounterFailed,
     ExhaustedIndices,
+    InconsistentOracle,
     InvalidParameters,
     OracleTimeout,
+    PactError,
     SolverUnknown,
 )
 from .hashing import Family, HashStack, generate_hash, smallest_prime_above
@@ -120,7 +122,7 @@ class CellLedger:
         for other, known in self.entries.items():
             if other == index:
                 if known != count:
-                    raise RuntimeError(
+                    raise InconsistentOracle(
                         f"cell count at index {index} changed from {known} to {count}"
                     )
                 continue
@@ -129,7 +131,7 @@ class CellLedger:
                 not deep.is_exact or deep.count > shallow.count
             )
             if bad:
-                raise RuntimeError(
+                raise InconsistentOracle(
                     "cell counts are not non-increasing along the chain: "
                     f"index {min(index, other)} -> {shallow}, "
                     f"index {max(index, other)} -> {deep}"
@@ -325,8 +327,6 @@ class _IterationOutcome:
 
 
 def _unwind(oracle: Oracle, entry_depth: int) -> None:
-    from .errors import PactError
-
     try:
         while oracle.depth > entry_depth:
             oracle.pop()

@@ -55,5 +55,9 @@ class ExhaustedIndices(PactError):
     """Galloping search ran past the deepest usable hash index (internal bug guard)."""
 
 
+class InconsistentOracle(PactError):
+    """The oracle's cell counts grew along a hash chain or changed on a re-probe."""
+
+
 class CounterFailed(PactError):
     """An iteration could not be completed within its retry budget."""

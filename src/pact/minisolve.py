@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import MalformedScript
-from .smtlib import iter_top_forms, unquote_symbol
+from .smtlib import SexprReader, iter_top_forms, unquote_symbol
 
 
 class Unsupported(Exception):
@@ -724,61 +724,24 @@ def _run(engine: Engine, args) -> int:
             reply(f'(error "unsupported command {head}")')
         return True
 
-    buf = ""
-    depth = 0
-    in_string = in_pipe = in_comment = False
-    while True:
-        line = sys.stdin.readline()
-        if line == "":
-            return 0
-        for ch in line:
-            if in_comment:
-                if ch == "\n":
-                    in_comment = False
-                continue
-            buf += ch
-            if in_string:
-                in_string = ch != '"'
-                continue
-            if in_pipe:
-                in_pipe = ch != "|"
-                continue
-            if ch == ";":
-                in_comment = True
-                buf = buf[:-1]
-                continue
-            if ch == '"':
-                in_string = True
-            elif ch == "|":
-                in_pipe = True
-            elif ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth < 0:
-                    reply('(error "unmatched closing parenthesis")')
-                    buf, depth = "", 0
+    reader = SexprReader()
+    for line in sys.stdin:
+        try:
+            for sexpr, _form in iter_top_forms(line, reader):
+                if isinstance(sexpr, str):
+                    reply(f'(error "unexpected input {_clean(sexpr)}")')
                     continue
-                if depth == 0:
-                    text, buf = buf, ""
-                    try:
-                        parsed = list(iter_top_forms(text))
-                    except MalformedScript as exc:
-                        reply(f'(error "{_clean(str(exc))}")')
-                        continue
-                    for sexpr, _form in parsed:
-                        try:
-                            keep_going = handle(sexpr)
-                        except Exception as exc:
-                            reply(f'(error "internal: {_clean(repr(exc))}")')
-                            continue
-                        if not keep_going:
-                            return 0
-        if depth == 0:
-            buf = buf.strip()  # drop stray top-level atoms / whitespace
-            if buf:
-                reply(f'(error "unexpected input {_clean(buf)}")')
-                buf = ""
+                try:
+                    keep_going = handle(sexpr)
+                except Exception as exc:
+                    reply(f'(error "internal: {_clean(repr(exc))}")')
+                    continue
+                if not keep_going:
+                    return 0
+        except MalformedScript as exc:
+            reply(f'(error "{_clean(str(exc))}")')
+            reader = SexprReader()
+    return 0
 
 
 def main(argv=None) -> int:

@@ -26,6 +26,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    MalformedScript,
+    OracleTimeout,
     ProtocolError,
     SolverCrashed,
     StackUnderflow,
@@ -34,7 +36,9 @@ from .errors import (
 from .hashing import Family, HashConstraint, eval_hash
 from .smtlib import (
     BlockingClause,
+    Form,
     ProjectionSet,
+    SexprReader,
     SmtScript,
     iter_top_forms,
     parse_declarations,
@@ -389,6 +393,7 @@ class SubprocessOracle(Oracle):
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._proc.stdout, selectors.EVENT_READ)
         self._buf = b""
+        self._reader = SexprReader()  # a replayed session starts no half reply
 
     def _load_initial(self) -> None:
         base: list[str] = []
@@ -466,43 +471,22 @@ class SubprocessOracle(Oracle):
         line, _, self._buf = self._buf.partition(b"\n")
         return line.decode(errors="replace")
 
-    @staticmethod
-    def _balanced(text: str) -> bool:
-        depth = 0
-        in_string = in_pipe = False
-        for ch in text:
-            if in_string:
-                in_string = ch != '"'
-            elif in_pipe:
-                in_pipe = ch != "|"
-            elif ch == '"':
-                in_string = True
-            elif ch == "|":
-                in_pipe = True
-            elif ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-        return depth == 0 and not in_string and not in_pipe
-
-    def _read_response(self, budget: float | None) -> str | None:
-        """One solver response; None when the budget ran out."""
+    def _read_response(self, budget: float | None) -> tuple[object, Form] | None:
+        """One solver response as (sexpr, Form); None when the budget ran out."""
         deadline = time.monotonic() + budget if budget is not None else None
-        text = ""
         while True:
             line = self._read_line(deadline)
             if line is None:
                 return None
-            line = line.strip()
-            if not line:
-                continue
-            text = f"{text}\n{line}" if text else line
-            if not text.startswith("("):
-                self._log("<", text)
-                return text
-            if self._balanced(text):
-                self._log("<", text)
-                return text
+            try:
+                replies = list(iter_top_forms(line + "\n", self._reader))
+            except MalformedScript as exc:
+                raise ProtocolError(f"unreadable solver reply {line!r}: {exc}") from exc
+            if len(replies) > 1:
+                raise ProtocolError(f"more than one reply in {line!r}")
+            if replies:
+                self._log("<", replies[0][1].text)
+                return replies[0]
 
     def _budget(self) -> float | None:
         candidates = []
@@ -517,11 +501,9 @@ class SubprocessOracle(Oracle):
         resp = self._read_response(self._budget())
         if resp is None:
             self._restart_after_timeout()
-            from .errors import OracleTimeout
-
             raise OracleTimeout(f"solver did not acknowledge {cmd!r} in time")
-        if resp != "success":
-            raise ProtocolError(f"expected success for {cmd!r}, got {resp!r}")
+        if resp[0] != "success":
+            raise ProtocolError(f"expected success for {cmd!r}, got {resp[1].text!r}")
 
     def _restart_after_timeout(self) -> None:
         """Kill the wedged process, respawn, and replay the journal."""
@@ -533,8 +515,8 @@ class SubprocessOracle(Oracle):
                 for cmd in frame:
                     self._write(cmd)
                     resp = self._read_response(self.query_timeout)
-                    if resp is None or resp != "success":
-                        raise ProtocolError(f"replay of {cmd!r} got {resp!r}")
+                    if resp is None or resp[0] != "success":
+                        raise ProtocolError(f"replay of {cmd!r} was not acknowledged")
         except Exception:
             self._dead = True
 
@@ -594,9 +576,10 @@ class SubprocessOracle(Oracle):
         if resp is None:
             self._restart_after_timeout()
             return SolverResult.TIMEOUT
-        if resp in ("sat", "unsat", "unknown"):
-            return SolverResult(resp)
-        raise ProtocolError(f"unexpected check-sat answer {resp!r}")
+        answer, form = resp
+        if answer in ("sat", "unsat", "unknown"):
+            return SolverResult(answer)
+        raise ProtocolError(f"unexpected check-sat answer {form.text!r}")
 
     def get_projected_model(self, projection: ProjectionSet) -> dict[str, int]:
         names = " ".join(quote_symbol(n) for n in projection.names)
@@ -606,24 +589,22 @@ class SubprocessOracle(Oracle):
         self.stats.solver_time += time.perf_counter() - t0
         if resp is None:
             self._restart_after_timeout()
-            from .errors import OracleTimeout
-
             raise OracleTimeout("solver did not answer get-value in time")
-        if resp.startswith("(error"):
-            raise ProtocolError(f"get-value failed: {resp}")
-        try:
-            (pairs, _form), = iter_top_forms(resp)
-        except Exception as exc:
-            raise ProtocolError(f"cannot parse get-value answer {resp!r}") from exc
+        pairs, form = resp
+        text = form.text
+        if isinstance(pairs, str):
+            raise ProtocolError(f"cannot parse get-value answer {text!r}")
+        if pairs[:1] == ["error"]:
+            raise ProtocolError(f"get-value failed: {text}")
         values: dict[str, int] = {}
         for pair in pairs:
             if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)):
-                raise ProtocolError(f"malformed get-value pair in {resp!r}")
-            values[unquote_symbol(pair[0])] = _parse_bv_value(pair[1], resp)
+                raise ProtocolError(f"malformed get-value pair in {text!r}")
+            values[unquote_symbol(pair[0])] = _parse_bv_value(pair[1], text)
         out: dict[str, int] = {}
         for var in projection.variables:
             if var.name not in values:
-                raise ProtocolError(f"solver omitted {var.name!r} in {resp!r}")
+                raise ProtocolError(f"solver omitted {var.name!r} in {text!r}")
             v = values[var.name]
             if not 0 <= v < (1 << var.width):
                 raise ProtocolError(

@@ -1,15 +1,16 @@
-"""SMT-LIB2 script front end.
+"""SMT-LIB2 front end: the one place that knows S-expression syntax.
 
-Extracts the nullary declarations a projection can name, resolves the
-projection set, and renders hash constraints / blocking clauses as
-SMT-LIB2 assertions over pure QF_BV operators.  Input scripts are never
-rewritten: downstream code works with verbatim top-level form slices.
+Its incremental reader splits input scripts, solver replies and minisolve
+input alike into top-level forms.  It extracts the nullary declarations a
+projection can name, resolves the projection set, and renders hash
+constraints / blocking clauses as SMT-LIB2 assertions over pure QF_BV
+operators.  Input scripts are never rewritten: downstream code works with
+verbatim top-level form slices.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -37,94 +38,110 @@ _SIMPLE_SYMBOL_RE = re.compile(r"[a-zA-Z~!@$%^&*_+=<>.?/-][a-zA-Z0-9~!@$%^&*_+=<
 _PROJECTED_VARS_RE = re.compile(r"^\s*;+\s*projected-vars:\s*(.*?)\s*$", re.MULTILINE)
 
 
-def tokenize(text: str) -> Iterator[tuple[str, str, int]]:
-    """Yield (kind, value, line) with kind in {lp, rp, atom, string}.
-
-    Comments and whitespace are skipped; quoted symbols are returned as
-    atoms with their pipes kept.  Raises MalformedScript on characters
-    that cannot start a token (e.g. an unterminated string).
-    """
-    newlines = [m.start() for m in re.finditer("\n", text)]
-
-    def line_of(pos: int) -> int:
-        return bisect_right(newlines, pos) + 1
-
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise MalformedScript(
-                f"unreadable input near {text[pos:pos + 20]!r}", line_of(pos)
-            )
-        pos = m.end()
-        kind = m.lastgroup
-        if kind in ("ws", "comment"):
-            continue
-        value = m.group()
-        if kind == "quoted":
-            kind = "atom"
-        yield kind, value, line_of(m.start())
-
-
 @dataclass(frozen=True)
 class Form:
-    """One top-level command: its verbatim text slice, head symbol, line."""
+    """One top-level form: its verbatim text slice, head symbol, line."""
 
     text: str
     head: str | None
     line: int
 
 
-def iter_top_forms(text: str) -> Iterator[tuple[object, Form]]:
-    """Yield (nested_sexpr, Form) for each top-level form.
+class SexprReader:
+    """What one text stream leaves open between `iter_top_forms` calls.
 
-    The nested representation is lists of atom strings.  Raises
-    MalformedScript on unbalanced parentheses.
+    It keeps the stack of open forms, the text of the open top-level form
+    read so far, and a token cut at the end of the last chunk, so that each
+    chunk is scanned once.
     """
-    stack: list[list] = []
-    start = 0
-    open_line = 0
-    offsets: list[int] = []
-    # re-scan offsets alongside tokens: track via a parallel tokenizer pass
-    newlines = [m.start() for m in re.finditer("\n", text)]
 
-    def line_of(pos: int) -> int:
-        return bisect_right(newlines, pos) + 1
+    __slots__ = ("stack", "parts", "tail", "line", "open_line")
 
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
+    def __init__(self) -> None:
+        self.stack: list[list] = []
+        self.parts: list[str] = []  # earlier chunks' text of the open top-level form
+        self.tail = ""  # unscanned start of a token cut at the end of the last chunk
+        self.line = 1  # line number where `tail` starts
+        self.open_line = 0  # line of the open top-level form's '('
+
+
+def iter_top_forms(
+    text: str, reader: SexprReader | None = None
+) -> Iterator[tuple[object, Form]]:
+    """Yield (nested_sexpr, Form) for each top-level form completed in `text`.
+
+    The nested representation is lists of atom strings; a top-level atom
+    is yielded as its string.  Without a reader, `text` is a whole script
+    and an unclosed form raises MalformedScript.  With one, `text` continues
+    the reader's stream: an open form, or a token that may go on in the next
+    chunk, waits in the reader.  Raises MalformedScript on an unmatched ')'
+    and on input no token can start (an unterminated string at the end of a
+    whole script).
+    """
+    final = reader is None
+    if final:
+        reader = SexprReader()
+    stack = reader.stack
+    text = reader.tail + text
+    n = len(text)
+    match = _TOKEN_RE.match
+    line, line_pos = reader.line, 0  # `line` is the line number at `line_pos`
+    start = pos = 0  # start: the open top-level form's first character here
+    while pos < n:
+        m = match(text, pos)
         if m is None:
-            raise MalformedScript(
-                f"unreadable input near {text[pos:pos + 20]!r}", line_of(pos)
-            )
-        tok_start, pos = m.start(), m.end()
+            if not final:  # an unterminated string or |symbol| may end later
+                break
+            line += text.count("\n", line_pos, pos)
+            raise MalformedScript(f"unreadable input near {text[pos:pos + 20]!r}", line)
+        end = m.end()
         kind = m.lastgroup
-        if kind in ("ws", "comment"):
-            continue
-        value = m.group()
-        if kind == "lp":
+        if kind == "ws":
+            pass
+        elif kind == "lp":
             if not stack:
-                start = tok_start
-                open_line = line_of(tok_start)
+                start = pos
+                line += text.count("\n", line_pos, pos)
+                line_pos = pos
+                reader.open_line = line
             stack.append([])
         elif kind == "rp":
             if not stack:
-                raise MalformedScript("unmatched ')'", line_of(tok_start))
+                line += text.count("\n", line_pos, pos)
+                raise MalformedScript("unmatched ')'", line)
             done = stack.pop()
             if stack:
                 stack[-1].append(done)
             else:
+                form_text = text[start:end]
+                if reader.parts:
+                    form_text = "".join(reader.parts) + form_text
+                    reader.parts.clear()
                 head = done[0] if done and isinstance(done[0], str) else None
-                yield done, Form(text[start:pos], head, open_line)
-        else:
+                yield done, Form(form_text, head, reader.open_line)
+        elif not final and kind != "quoted" and (
+            end == n or kind == "string" and text[end] == '"'
+        ):
+            # the next chunk may continue an atom, string or comment; a
+            # string right before '"' may end in the first half of a ""
+            break
+        elif kind != "comment":
+            value = m.group()
             if stack:
                 stack[-1].append(value)
             else:
-                # stray top-level atom (legal SMT-LIB rejects it; be strict)
-                raise MalformedScript(f"unexpected atom {value!r}", line_of(tok_start))
+                line += text.count("\n", line_pos, pos)
+                line_pos = pos
+                yield value, Form(value, None, line)
+        pos = end
+    if final:
+        if stack:
+            raise MalformedScript("unbalanced '(' (unclosed form)", reader.open_line)
+        return
     if stack:
-        raise MalformedScript("unbalanced '(' (unclosed form)", open_line)
+        reader.parts.append(text[start:pos])
+    reader.tail = text[pos:]
+    reader.line = line + text.count("\n", line_pos, pos)
 
 
 @dataclass(frozen=True)
@@ -197,7 +214,7 @@ def quote_symbol(name: str) -> str:
     return f"|{name}|"
 
 
-def _parse_sort(sexpr, raw_hint: str, line: int) -> tuple[str, int | None]:
+def _parse_sort(sexpr, line: int) -> tuple[str, int | None]:
     """Return (sort_text, width) for a declaration's sort expression."""
     if isinstance(sexpr, str):
         return sexpr, None
@@ -230,6 +247,9 @@ def parse_declarations(text: str) -> SmtScript:
     logic: str | None = None
     forms: list[Form] = []
     for sexpr, form in iter_top_forms(text):
+        if isinstance(sexpr, str):
+            # stray top-level atom (legal SMT-LIB rejects it; be strict)
+            raise MalformedScript(f"unexpected atom {sexpr!r}", form.line)
         forms.append(form)
         head = form.head
         if head == "set-logic" and logic is None and len(sexpr) == 2:
@@ -251,7 +271,7 @@ def parse_declarations(text: str) -> SmtScript:
         if name in seen:
             raise MalformedScript(f"duplicate declaration of {name!r}", form.line)
         seen.add(name)
-        sort_text, width = _parse_sort(sort_expr, form.text, form.line)
+        sort_text, width = _parse_sort(sort_expr, form.line)
         declarations.append(SortedVar(name, sort_text, width))
     return SmtScript(text, tuple(declarations), logic, tuple(forms))
 

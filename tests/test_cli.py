@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from pact import cli
 from pact.cli import (
     EXIT_ERROR,
     EXIT_OK,
@@ -20,6 +21,7 @@ from pact.cli import (
     run_count,
 )
 from pact.corpus import InstanceSpec, build, write_corpus
+from pact.hashing import HashConstraint
 from pact.oracle import InMemoryOracle
 
 MINISOLVE_CMD = f"{sys.executable} -m pact.minisolve"
@@ -27,6 +29,21 @@ MINISOLVE_CMD = f"{sys.executable} -m pact.minisolve"
 
 def memory_factory(inst):
     return lambda script, projection: InMemoryOracle(projection, inst.solutions)
+
+
+class DropsEveryThirdHash(InMemoryOracle):
+    """An inconsistent oracle: silently ignores every third hash constraint."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.hashes = 0
+
+    def assert_constraint(self, constraint):
+        if isinstance(constraint, HashConstraint):
+            self.hashes += 1
+            if self.hashes % 3 == 0:
+                return
+        super().assert_constraint(constraint)
 
 
 def write_instance(tmp_path, spec, sidecar=True):
@@ -143,6 +160,17 @@ class TestRunCount:
         assert first.comparable() == second.comparable()
         assert first.check_sat_calls > 0
 
+    def test_inconsistent_oracle_is_an_error_record(self, tmp_path):
+        spec = InstanceSpec("inst", "interval", 12, 2000, seed=1)
+        inst, script = write_instance(tmp_path, spec)
+        factory = lambda script, projection: DropsEveryThirdHash(
+            projection, inst.solutions
+        )
+        record, code = run_count(RunConfig("count", str(script), seed=1), factory)
+        assert code == EXIT_ERROR
+        assert record.status == "error"
+        assert "not non-increasing" in record.detail
+
     def test_missing_file(self):
         record, code = run_count(RunConfig("count", "no/such/file.smt2"))
         assert code == EXIT_ERROR
@@ -201,6 +229,19 @@ class TestBench:
         assert code == EXIT_ERROR
         by_name = {r.name: r.record.status for r in rows}
         assert by_name == {"b-one": "error", "b-two": "ok"}
+
+    def test_inconsistent_oracle_does_not_abort_the_sweep(self, tmp_path, monkeypatch):
+        manifest = self.manifest(tmp_path, [
+            InstanceSpec("b-one", "interval", 12, 2000, seed=1),
+            InstanceSpec("b-two", "scatter", 12, 1500, seed=2),
+        ])
+        monkeypatch.setattr(cli, "InMemoryOracle", DropsEveryThirdHash)
+        out = tmp_path / "bench"
+        rows, code = run_bench(BenchConfig(str(manifest), str(out), seed=1))
+        assert [r.name for r in rows] == ["b-one", "b-two"]
+        assert "error" in {r.record.status for r in rows}
+        assert code == EXIT_ERROR
+        assert len((out / "records.jsonl").read_text().splitlines()) == 2
 
     def test_rejects_unknown_backend(self, tmp_path):
         with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ from pact.counter import (
     pact_count,
     saturating_count,
 )
-from pact.errors import InvalidParameters
+from pact.errors import InconsistentOracle, InvalidParameters
 from pact.hashing import Family, HashStack, generate_hash
 from pact.oracle import InMemoryOracle
 from pact.smtlib import ProjectionSet, SortedVar
@@ -128,12 +128,12 @@ class TestLedgerAndSearch:
 
     def test_monotonicity_enforced_upward(self):
         ledger = self.ledger_of({2: SaturatingCount.exact(5)})
-        with pytest.raises(RuntimeError):
+        with pytest.raises(InconsistentOracle):
             ledger.record(3, SATURATED)  # saturated below an exact entry
 
     def test_monotonicity_enforced_on_counts(self):
         ledger = self.ledger_of({2: SaturatingCount.exact(5)})
-        with pytest.raises(RuntimeError):
+        with pytest.raises(InconsistentOracle):
             ledger.record(3, SaturatingCount.exact(9))
 
     def test_truncated_drops_deep_entries(self):

@@ -212,3 +212,30 @@ class TestProtocol:
             "(get-value (|my var|))\n"
         )
         assert lines == ["((|my var| #b10))"]
+
+    def test_unmatched_close_paren_recovers(self):
+        lines = self.run_session(")\n(check-sat)\n")
+        assert lines[0].startswith("(error")
+        assert lines[1] == "sat"
+
+    def test_stray_atom_is_an_error(self):
+        lines = self.run_session("foo\n(check-sat)\n")
+        assert lines == ['(error "unexpected input foo")', "sat"]
+
+    def test_structure_characters_inside_strings_and_quoted_symbols(self):
+        lines = self.run_session(
+            '(echo "a ( b ; c )")\n'
+            "(declare-const |x ( ; )| (_ BitVec 2))\n"
+            "(assert (= |x ( ; )| #b10))\n"
+            "(get-value (|x ( ; )|))\n"
+        )
+        assert lines == ['"a ( b ; c )"', "((|x ( ; )| #b10))"]
+
+    def test_quoted_symbol_spanning_two_lines_is_one_command(self):
+        lines = self.run_session(
+            "(set-option :print-success true)\n"
+            "(declare-const |a\nb| (_ BitVec 2))\n"
+            "(assert (= |a\nb| #b01))\n"
+            "(check-sat)\n"
+        )
+        assert lines == ["success", "success", "success", "sat"]

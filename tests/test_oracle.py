@@ -270,3 +270,51 @@ class TestSubprocess:
         text = log.read_text()
         assert "> (check-sat)" in text
         assert "< sat" in text
+
+
+# a stand-in solver: acknowledges every command, answers check-sat with sat
+# and get-value with the reply given on its command line
+FAKE_SOLVER = r"""
+import sys
+reply = sys.argv[1]
+for line in sys.stdin:
+    if line.startswith("(exit"):
+        break
+    if line.startswith("(get-value"):
+        out = reply
+    elif line.startswith("(check-sat"):
+        out = "sat"
+    else:
+        out = "success"
+    sys.stdout.write(out + "\n")
+    sys.stdout.flush()
+"""
+
+
+def fake_solver(reply):
+    return [sys.executable, "-c", FAKE_SOLVER, reply]
+
+
+class TestReplyParsing:
+    def test_get_value_reply_split_over_two_lines(self):
+        script = "(declare-const x (_ BitVec 4))\n"
+        p = projection_of(script, ["x"])
+        with make_oracle(script, command=fake_solver("((x\n  #b0101))")) as oracle:
+            assert oracle.check_sat() is SolverResult.SAT
+            assert oracle.get_projected_model(p) == {"x": 5}
+
+    def test_quoted_symbol_with_paren_in_reply(self):
+        script = "(declare-const |a)b| (_ BitVec 4))\n"
+        p = projection_of(script, ["a)b"])
+        with make_oracle(script, command=fake_solver("((|a)b| #b0011))")) as oracle:
+            assert oracle.check_sat() is SolverResult.SAT
+            assert oracle.get_projected_model(p) == {"a)b": 3}
+
+    def test_two_replies_on_one_line_are_a_protocol_error(self):
+        script = "(declare-const x (_ BitVec 4))\n"
+        p = projection_of(script, ["x"])
+        reply = "((x #b0101)) ((x #b0110))"
+        with make_oracle(script, command=fake_solver(reply)) as oracle:
+            assert oracle.check_sat() is SolverResult.SAT
+            with pytest.raises(ProtocolError, match="more than one reply"):
+                oracle.get_projected_model(p)

@@ -7,12 +7,13 @@ from pact.errors import MalformedScript, NonDiscreteProjection, UnknownVariable
 from pact.hashing import Family, HashConstraint, Slice
 from pact.smtlib import (
     BlockingClause,
+    SexprReader,
+    iter_top_forms,
     parse_declarations,
     projection_comment_names,
     read_projection_file,
     render_assertion,
     resolve_projection,
-    tokenize,
 )
 
 
@@ -85,6 +86,70 @@ def test_parse_quoted_symbol_and_strings():
     (var,) = script.declarations
     assert var.name == "my var"
     assert var.width == 3
+
+
+def test_parse_stray_atom_rejected():
+    with pytest.raises(MalformedScript, match="unexpected atom 'oops'") as exc:
+        parse_declarations("(set-logic QF_BV)\noops\n(check-sat)")
+    assert exc.value.line == 2
+
+
+# ---------------------------------------------------------------------------
+# the incremental reader
+
+
+READER_TEXT = (
+    "; header (with parens)\n"
+    "(set-info :source \"a ) \"\" ( string\")\n"
+    "(declare-const |odd ) name| (_ BitVec 3))\n"
+    "(assert\n  (= |odd ) name| #b101)) ; trailing (\n"
+    "success (check-sat)\n"
+    "(get-value (|odd ) name|))\n"
+)
+
+
+def test_reader_forms_atoms_and_lines():
+    forms = list(iter_top_forms(READER_TEXT))
+    assert [form.line for _s, form in forms] == [2, 3, 4, 6, 6, 7]
+    assert [form.head for _s, form in forms] == [
+        "set-info", "declare-const", "assert", None, "check-sat", "get-value",
+    ]
+    assert forms[0][0] == ["set-info", ":source", '"a ) "" ( string"']
+    assert forms[2][1].text == "(assert\n  (= |odd ) name| #b101))"
+    assert forms[3][0] == forms[3][1].text == "success"
+
+
+@given(st.lists(st.integers(0, len(READER_TEXT)), max_size=12))
+def test_reader_chunks_read_like_the_whole_text(cuts):
+    reader = SexprReader()
+    got = []
+    bounds = [0, *sorted(cuts), len(READER_TEXT)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        got.extend(iter_top_forms(READER_TEXT[lo:hi], reader))
+    assert got == list(iter_top_forms(READER_TEXT))
+    assert reader.stack == [] and reader.tail == ""
+
+
+def test_reader_holds_a_cut_token_until_it_ends():
+    reader = SexprReader()
+    assert list(iter_top_forms("(echo |a", reader)) == []
+    assert list(iter_top_forms("b) c", reader)) == []
+    assert list(iter_top_forms("d| #b0", reader)) == []
+    (sexpr, form), = iter_top_forms("1)\n", reader)
+    assert sexpr == ["echo", "|ab) cd|", "#b01"]
+    assert form.text == "(echo |ab) cd| #b01)"
+
+
+def test_reader_errors():
+    with pytest.raises(MalformedScript, match="unmatched"):
+        list(iter_top_forms("(a)\n)"))
+    with pytest.raises(MalformedScript, match="unreadable") as exc:
+        list(iter_top_forms('(a)\n(echo "open'))
+    assert exc.value.line == 2
+    reader = SexprReader()  # a stream may still close the string
+    assert list(iter_top_forms('(echo "open', reader)) == []
+    (sexpr, _form), = iter_top_forms(' string")\n', reader)
+    assert sexpr == ["echo", '"open string"']
 
 
 def test_comment_projection_names():
@@ -254,12 +319,11 @@ ALLOWED_OPS = {
 }
 
 
-def _symbols(text):
-    out = set()
-    for kind, value, _line in tokenize(text):
-        if kind == "atom" and not value.startswith("#b"):
-            out.add(value.strip("|"))
-    return out
+def _symbols(sexpr):
+    """Every atom nested in sexpr, bar binary literals, pipes stripped."""
+    if isinstance(sexpr, str):
+        return set() if sexpr.startswith("#b") else {sexpr.strip("|")}
+    return set().union(*map(_symbols, sexpr))
 
 
 @given(st.data())
@@ -278,16 +342,10 @@ def test_render_round_trip_and_purity(data):
     ell = 1 if family is Family.XOR else 4
     constraint = generate_hash(proj, ell, family, rng)
     text = render_assertion(constraint)
-    # tokenizes and balances
-    depth = 0
-    for kind, _value, _line in tokenize(text):
-        if kind == "lp":
-            depth += 1
-        elif kind == "rp":
-            depth -= 1
-        assert depth >= 0
-    assert depth == 0
+    # balances: the whole text parses back to exactly one form
+    (sexpr, form), = iter_top_forms(text)
+    assert form.text == text
     # purity: nothing outside declared vars, operators, literals
-    extras = _symbols(text) - ALLOWED_OPS - {"v0"}
+    extras = _symbols(sexpr) - ALLOWED_OPS - {"v0"}
     for sym in extras:
         assert sym.isdigit(), sym  # extract/zero_extend indices
