@@ -144,6 +144,7 @@ def run_count(config: RunConfig, oracle_factory=None) -> tuple[ResultRecord, int
             oracle = _solver_oracle(config, text, deadline)
         else:
             oracle = oracle_factory(script, projection)
+            oracle.deadline = deadline
         with oracle:
             result = pact_count(
                 oracle,

@@ -24,11 +24,10 @@ from .errors import (
     InvalidParameters,
     OracleTimeout,
     PactError,
-    SolverUnknown,
 )
 from .hashing import Family, HashStack, generate_hash, smallest_prime_above
-from .oracle import Oracle, QueryStats, SolverResult
-from .smtlib import BlockingClause, ProjectionSet
+from .oracle import Oracle, QueryStats
+from .smtlib import ProjectionSet
 
 
 @dataclass(frozen=True)
@@ -81,30 +80,13 @@ def get_constants(
 def saturating_count(
     oracle: Oracle, projection: ProjectionSet, thresh: int
 ) -> SaturatingCount:
-    """Enumerate-and-block up to thresh models inside a scratch frame."""
+    """Count the current cell up to thresh: exact below it, saturated at it."""
     if thresh < 1:
         raise InvalidParameters(f"threshold must be >= 1, got {thresh}")
-    oracle.push()
-    try:
-        n = 0
-        while True:
-            result = oracle.check_sat()
-            if result is SolverResult.UNSAT:
-                return SaturatingCount.exact(n)
-            if result is SolverResult.UNKNOWN:
-                raise SolverUnknown(
-                    "solver answered unknown while counting a cell; "
-                    "the estimate would be unsound"
-                )
-            if result is SolverResult.TIMEOUT:
-                raise OracleTimeout("solver timed out while counting a cell")
-            model = oracle.get_projected_model(projection)
-            n += 1
-            if n >= thresh:
-                return SATURATED
-            oracle.assert_constraint(BlockingClause.from_model(projection, model))
-    finally:
-        oracle.pop()
+    if oracle.deadline is not None and time.monotonic() >= oracle.deadline:
+        raise OracleTimeout("time budget spent before counting a cell")
+    n = oracle.count_upto(projection, thresh)
+    return SATURATED if n >= thresh else SaturatingCount.exact(n)
 
 
 class CellLedger:

@@ -1,12 +1,12 @@
 """Solver oracles: an incremental SMT-LIB2 subprocess and an in-memory set.
 
 Both expose the same handle: push/pop an assertion stack, add hash
-constraints or blocking clauses, ask check-sat, and extract values of the
-projection variables from a model.  The subprocess backend renders
-constraints to SMT-LIB2 text; the in-memory backend holds an explicit
-finite solution set over the projection variables and interprets
-constraints structurally via the same `eval_hash` semantics the rendered
-text encodes.
+constraints or blocking clauses, ask check-sat, extract values of the
+projection variables from a model, and count a cell up to a threshold.
+The subprocess backend renders constraints to SMT-LIB2 text and counts by
+enumerate-and-block; the in-memory backend holds an explicit solution set,
+interprets constraints via the `eval_hash` semantics the rendered text
+encodes, and counts the survivors directly.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .errors import (
     OracleTimeout,
     ProtocolError,
     SolverCrashed,
+    SolverUnknown,
     StackUnderflow,
     UnknownVariable,
 )
@@ -75,9 +76,10 @@ class QueryStats:
 class Oracle(ABC):
     """Incremental solving handle the counting loop talks to."""
 
+    deadline: float | None = None  # absolute time.monotonic() cutoff
+
     def __init__(self):
         self.stats = QueryStats()
-        self.deadline: float | None = None  # absolute time.monotonic() cutoff
 
     @property
     @abstractmethod
@@ -101,6 +103,31 @@ class Oracle(ABC):
     def get_projected_model(self, projection: ProjectionSet) -> dict[str, int]:
         """Values of the projection variables; requires a preceding SAT."""
 
+    def count_upto(self, projection: ProjectionSet, thresh: int) -> int:
+        """Models of the current frame, up to thresh: enumerate-and-block
+        inside a scratch frame, so the blocking clauses go with it."""
+        self.push()
+        try:
+            n = 0
+            while True:
+                result = self.check_sat()
+                if result is SolverResult.UNSAT:
+                    return n
+                if result is SolverResult.UNKNOWN:
+                    raise SolverUnknown(
+                        "solver answered unknown while counting a cell; "
+                        "the estimate would be unsound"
+                    )
+                if result is SolverResult.TIMEOUT:
+                    raise OracleTimeout("solver timed out while counting a cell")
+                model = self.get_projected_model(projection)
+                n += 1
+                if n >= thresh:
+                    return n
+                self.assert_constraint(BlockingClause.from_model(projection, model))
+        finally:
+            self.pop()
+
     def close(self) -> None:
         pass
 
@@ -116,19 +143,13 @@ class Oracle(ABC):
 # in-memory backend
 
 
-class _Frame:
-    __slots__ = ("mask", "cursor")
-
-    def __init__(self, mask: np.ndarray, cursor: int):
-        self.mask = mask
-        self.cursor = cursor
-
-
 class InMemoryOracle(Oracle):
     """Oracle over an explicit finite set of projected assignments.
 
-    Rows are kept sorted, so model enumeration order (and therefore every
-    downstream result) is deterministic.  Constraint filtering is
+    Rows are kept sorted and each frame is a sorted array of live row
+    indices, so the first model is always the smallest live row and every
+    downstream result is deterministic.  A push shares the top array; a
+    constraint replaces it with its survivors.  Constraint filtering is
     vectorized with numpy where slice arithmetic fits in 64 bits and falls
     back to the scalar `eval_hash` otherwise.
     """
@@ -155,7 +176,6 @@ class InMemoryOracle(Oracle):
             rows.add(row)
         self._rows: list[tuple[int, ...]] = sorted(rows)
         self._row_index = {row: i for i, row in enumerate(self._rows)}
-        self._widths = widths
         n = len(self._rows)
         if all(w <= 64 for w in widths):
             self._columns = [
@@ -164,65 +184,58 @@ class InMemoryOracle(Oracle):
             ]
         else:
             self._columns = None
-        self._frames: list[_Frame] = [_Frame(np.ones(n, dtype=bool), 0)]
+        self._frames: list[np.ndarray] = [np.arange(n, dtype=np.intp)]
 
     @property
     def depth(self) -> int:
         return len(self._frames) - 1
 
     def push(self) -> None:
-        top = self._frames[-1]
-        self._frames.append(_Frame(top.mask.copy(), top.cursor))
+        self._frames.append(self._frames[-1])  # arrays are never changed in place
 
     def pop(self) -> None:
         if len(self._frames) == 1:
             raise StackUnderflow("pop at assertion-stack depth 0")
         self._frames.pop()
 
-    def _first_live(self) -> int | None:
-        frame = self._frames[-1]
-        mask = frame.mask
-        if frame.cursor >= mask.size:
-            return None
-        tail = mask[frame.cursor:]
-        pos = int(np.argmax(tail))
-        if not tail[pos]:
-            frame.cursor = mask.size
-            return None
-        frame.cursor += pos
-        return frame.cursor
-
     def check_sat(self) -> SolverResult:
         t0 = time.perf_counter()
-        live = self._first_live()
+        live = self._frames[-1].size
         self.stats.check_sat_calls += 1
         self.stats.solver_time += time.perf_counter() - t0
-        return SolverResult.SAT if live is not None else SolverResult.UNSAT
+        return SolverResult.SAT if live else SolverResult.UNSAT
+
+    def count_upto(self, projection: ProjectionSet, thresh: int) -> int:
+        """The live rows, capped at thresh, as one check-sat."""
+        t0 = time.perf_counter()
+        n = min(self._frames[-1].size, thresh)
+        self.stats.check_sat_calls += 1
+        self.stats.solver_time += time.perf_counter() - t0
+        return n
 
     def get_projected_model(self, projection: ProjectionSet) -> dict[str, int]:
-        live = self._first_live()
-        if live is None:
+        live = self._frames[-1]
+        if not live.size:
             raise ProtocolError("model requested from an unsatisfiable state")
-        return dict(zip(projection.names, self._rows[live]))
+        return dict(zip(projection.names, self._rows[live[0]]))
 
     def assert_constraint(self, constraint) -> None:
         self.stats.assertions_sent += 1
-        frame = self._frames[-1]
+        live = self._frames[-1]
         if isinstance(constraint, BlockingClause):
-            self._apply_blocking(constraint, frame)
+            self._frames[-1] = self._after_block(constraint, live)
         elif isinstance(constraint, HashConstraint):
-            self._apply_hash(constraint, frame)
+            self._frames[-1] = self._after_hash(constraint, live)
         else:
             raise TypeError(f"cannot interpret {type(constraint).__name__} in memory")
 
     def live_values(self) -> list[tuple[int, ...]]:
         """Surviving assignments on the current frame (introspection)."""
-        mask = self._frames[-1].mask
-        return [self._rows[i] for i in np.nonzero(mask)[0]]
+        return [self._rows[i] for i in self._frames[-1]]
 
-    # -- filtering internals
+    # -- filtering internals: each takes the live indices and returns survivors
 
-    def _apply_blocking(self, clause: BlockingClause, frame: _Frame) -> None:
+    def _after_block(self, clause: BlockingClause, live: np.ndarray) -> np.ndarray:
         positions = {name: i for i, name in enumerate(self.projection.names)}
         for name, _w, _v in clause.assignments:
             if name not in positions:
@@ -231,39 +244,43 @@ class InMemoryOracle(Oracle):
             values = [0] * len(self.projection)
             for name, _w, v in clause.assignments:
                 values[positions[name]] = v
-            idx = self._row_index.get(tuple(values))
-            if idx is not None:
-                frame.mask[idx] = False
-            return
+            idx = self._row_index.get(tuple(values), -1)
+            pos = int(np.searchsorted(live, idx))
+            if pos == live.size or live[pos] != idx:
+                return live
+            # enumeration blocks the first live row: a view, no copy
+            return live[1:] if pos == 0 else np.delete(live, pos)
         # partial clause: kill every row matching the given assignments
-        keep = np.ones(len(self._rows), dtype=bool)
+        match = np.ones(live.size, dtype=bool)
         for name, _w, v in clause.assignments:
             j = positions[name]
             if self._columns is not None:
-                keep &= self._columns[j] == np.uint64(v)
+                match &= self._columns[j][live] == np.uint64(v)
             else:
-                col = np.fromiter(
-                    (row[j] == v for row in self._rows), dtype=bool, count=len(self._rows)
+                match &= np.fromiter(
+                    (self._rows[i][j] == v for i in live), dtype=bool, count=live.size
                 )
-                keep &= col
-        frame.mask &= ~keep
+        return live[~match]
 
-    def _apply_hash(self, constraint: HashConstraint, frame: _Frame) -> None:
-        values = self._vector_hash_values(constraint)
+    def _after_hash(self, constraint: HashConstraint, live: np.ndarray) -> np.ndarray:
+        values = self._vector_hash_values(constraint, live)
         if values is not None:
-            frame.mask &= values == constraint.target
-            return
+            return live[values == constraint.target]
         names = self.projection.names
-        for i in np.nonzero(frame.mask)[0]:
-            model = dict(zip(names, self._rows[i]))
-            if eval_hash(constraint, model) != constraint.target:
-                frame.mask[i] = False
+        keep = np.fromiter(
+            (eval_hash(constraint, dict(zip(names, self._rows[i]))) == constraint.target
+             for i in live),
+            dtype=bool,
+            count=live.size,
+        )
+        return live[keep]
 
-    def _vector_hash_values(self, c: HashConstraint) -> np.ndarray | None:
-        """Hash value per row, or None when 64-bit arithmetic can't hold it."""
+    def _vector_hash_values(self, c: HashConstraint, live: np.ndarray) -> np.ndarray | None:
+        """Hash value per live row, or None when 64-bit arithmetic can't hold it."""
         if self._columns is None:
             return None
-        n = len(self._rows)
+        n = live.size
+        columns = [col[live] for col in self._columns]
         position = {name: i for i, name in enumerate(self.projection.names)}
         if c.family is Family.XOR:
             select: dict[int, int] = {}
@@ -273,7 +290,7 @@ class InMemoryOracle(Oracle):
                     select[j] = select.get(j, 0) | (1 << sl.lo)
             acc = np.zeros(n, dtype=np.uint64)
             for j, bits in select.items():
-                acc ^= self._columns[j] & np.uint64(bits)
+                acc ^= columns[j] & np.uint64(bits)
             return np.bitwise_count(acc) & np.uint64(1)
         if c.family is Family.PRIME:
             p = c.range_size
@@ -285,7 +302,7 @@ class InMemoryOracle(Oracle):
                 return None
             acc = np.zeros(n, dtype=np.uint64)
             for coeff, sl in zip(c.coeffs, c.slices):
-                col = self._columns[position[sl.var]]
+                col = columns[position[sl.var]]
                 v = (col >> np.uint64(sl.lo)) & np.uint64((1 << sl.width) - 1)
                 acc += (np.uint64(coeff) * v) % np.uint64(p)
             acc += np.uint64(c.offset % p)
@@ -297,7 +314,7 @@ class InMemoryOracle(Oracle):
             # uint64 wraparound is exact mod 2^64, and 2^wbar divides 2^64
             acc = np.zeros(n, dtype=np.uint64)
             for coeff, sl in zip(c.coeffs, c.slices):
-                col = self._columns[position[sl.var]]
+                col = columns[position[sl.var]]
                 v = (col >> np.uint64(sl.lo)) & np.uint64((1 << sl.width) - 1)
                 acc += np.uint64(coeff) * v
             acc += np.uint64(c.offset)

@@ -171,6 +171,15 @@ class TestRunCount:
         assert record.status == "error"
         assert "not non-increasing" in record.detail
 
+    def test_memory_backend_honours_the_timeout(self, tmp_path):
+        spec = InstanceSpec("inst", "interval", 16, 30_000, seed=1)
+        inst, script = write_instance(tmp_path, spec)
+        config = RunConfig("count", str(script), seed=1, timeout=0.001)
+        record, code = run_count(config, memory_factory(inst))
+        assert code == EXIT_TIMEOUT
+        assert record.status == "timeout"
+        assert record.count is None
+
     def test_missing_file(self):
         record, code = run_count(RunConfig("count", "no/such/file.smt2"))
         assert code == EXIT_ERROR
@@ -242,6 +251,20 @@ class TestBench:
         assert "error" in {r.record.status for r in rows}
         assert code == EXIT_ERROR
         assert len((out / "records.jsonl").read_text().splitlines()) == 2
+
+    def test_memory_sweep_records_timeouts_and_finishes(self, tmp_path, capsys):
+        manifest = self.manifest(tmp_path, [
+            InstanceSpec("b-one", "interval", 12, 2000, seed=1),
+            InstanceSpec("b-two", "scatter", 12, 1500, seed=2),
+        ])
+        out = tmp_path / "bench"
+        code = main([
+            "bench", str(manifest), "--backend", "memory", "--timeout", "0.001",
+            "--out", str(out),
+        ])
+        assert code == EXIT_TIMEOUT
+        lines = (out / "records.jsonl").read_text().splitlines()
+        assert [ResultRecord.from_json(line).status for line in lines] == ["timeout"] * 2
 
     def test_rejects_unknown_backend(self, tmp_path):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from pact.baseline import BaselineStatus, enumerate_count
 from pact.errors import ProtocolError, SolverCrashed, StackUnderflow
 from pact.hashing import Family, HashConstraint, Slice, eval_hash, generate_hash
-from pact.oracle import InMemoryOracle, SolverResult, SubprocessOracle
+from pact.oracle import InMemoryOracle, Oracle, SolverResult, SubprocessOracle
 from pact.smtlib import BlockingClause, ProjectionSet, SortedVar, resolve_projection, parse_declarations
 
 import random
@@ -159,6 +159,41 @@ def test_vectorized_filter_matches_reference(data):
         (v,) for v in values if eval_hash(constraint, {"v": v}) == constraint.target
     )
     assert oracle.live_values() == expected
+
+
+@pytest.mark.parametrize("widths", [(6, 5), (70, 4)], ids=["narrow", "wide"])
+@pytest.mark.parametrize("family", list(Family), ids=str)
+def test_count_upto_matches_enumerate_and_block(family, widths):
+    """The in-memory count agrees with the base enumerate-and-block loop and
+    with brute force after random hash stacks and a partial blocking clause.
+    A 70-bit variable takes the scalar eval_hash path."""
+    p = proj(bv("x", widths[0]), bv("y", widths[1]))
+    rng = random.Random(f"{family}/{widths}")
+    rows = {(rng.getrandbits(widths[0]), rng.getrandbits(widths[1])) for _ in range(250)}
+    oracle = InMemoryOracle(p, rows)
+    for _ in range(12):
+        ell = 1 if family is Family.XOR else rng.randint(1, 3)
+        stack = [generate_hash(p, ell, family, rng) for _ in range(rng.randint(0, 4))]
+        blocked_y = rng.randrange(1 << widths[1])
+        stack.insert(rng.randint(0, len(stack)), BlockingClause((("y", widths[1], blocked_y),)))
+        for constraint in stack:
+            oracle.push()
+            oracle.assert_constraint(constraint)
+        truth = sum(
+            y != blocked_y and all(
+                eval_hash(c, {"x": x, "y": y}) == c.target
+                for c in stack if isinstance(c, HashConstraint)
+            )
+            for x, y in rows
+        )
+        live = oracle.live_values()
+        for thresh in (1, 20, 73):
+            assert oracle.count_upto(p, thresh) == min(truth, thresh)
+            assert Oracle.count_upto(oracle, p, thresh) == min(truth, thresh)
+        assert oracle.depth == len(stack)
+        assert oracle.live_values() == live  # the loop's blocking clauses were scoped
+        while oracle.depth:
+            oracle.pop()
 
 
 # ---------------------------------------------------------------------------
