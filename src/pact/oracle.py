@@ -2,11 +2,11 @@
 
 Both expose the same handle: push/pop an assertion stack, add hash
 constraints or blocking clauses, ask check-sat, extract values of the
-projection variables from a model, and count a cell up to a threshold.
-The subprocess backend renders constraints to SMT-LIB2 text and counts by
-enumerate-and-block; the in-memory backend holds an explicit solution set,
-interprets constraints via the `eval_hash` semantics the rendered text
-encodes, and counts the survivors directly.
+projection variables from a model, and count a cell up to a threshold by
+enumerate-and-block.  The subprocess backend renders constraints to
+SMT-LIB2 text; the in-memory backend holds an explicit finite solution set
+and interprets constraints via the same `eval_hash` semantics the rendered
+text encodes.
 """
 
 from __future__ import annotations
@@ -176,6 +176,7 @@ class InMemoryOracle(Oracle):
             rows.add(row)
         self._rows: list[tuple[int, ...]] = sorted(rows)
         self._row_index = {row: i for i, row in enumerate(self._rows)}
+        self._positions = {name: j for j, name in enumerate(projection.names)}
         n = len(self._rows)
         if all(w <= 64 for w in widths):
             self._columns = [
@@ -205,19 +206,15 @@ class InMemoryOracle(Oracle):
         self.stats.solver_time += time.perf_counter() - t0
         return SolverResult.SAT if live else SolverResult.UNSAT
 
-    def count_upto(self, projection: ProjectionSet, thresh: int) -> int:
-        """The live rows, capped at thresh, as one check-sat."""
-        t0 = time.perf_counter()
-        n = min(self._frames[-1].size, thresh)
-        self.stats.check_sat_calls += 1
-        self.stats.solver_time += time.perf_counter() - t0
-        return n
-
     def get_projected_model(self, projection: ProjectionSet) -> dict[str, int]:
         live = self._frames[-1]
         if not live.size:
             raise ProtocolError("model requested from an unsatisfiable state")
-        return dict(zip(projection.names, self._rows[live[0]]))
+        row = self._rows[live[0]]
+        try:
+            return {v.name: row[self._positions[v.name]] for v in projection.variables}
+        except KeyError as e:
+            raise UnknownVariable(f"model requested for {e.args[0]!r}, not projected") from None
 
     def assert_constraint(self, constraint) -> None:
         self.stats.assertions_sent += 1
@@ -236,24 +233,22 @@ class InMemoryOracle(Oracle):
     # -- filtering internals: each takes the live indices and returns survivors
 
     def _after_block(self, clause: BlockingClause, live: np.ndarray) -> np.ndarray:
-        positions = {name: i for i, name in enumerate(self.projection.names)}
-        for name, _w, _v in clause.assignments:
-            if name not in positions:
+        assigned = {name: v for name, _w, v in clause.assignments}
+        for name in assigned:
+            if name not in self._positions:
                 raise UnknownVariable(f"blocking clause names {name!r}, not projected")
-        if len(clause.assignments) == len(self.projection):
-            values = [0] * len(self.projection)
-            for name, _w, v in clause.assignments:
-                values[positions[name]] = v
-            idx = self._row_index.get(tuple(values), -1)
-            pos = int(np.searchsorted(live, idx))
-            if pos == live.size or live[pos] != idx:
+        if len(assigned) == len(self._positions):
+            row = tuple(assigned[name] for name in self._positions)
+            if live.size and self._rows[live[0]] == row:
+                return live[1:]  # enumeration blocks the first live row: a view, no copy
+            pos = int(live.searchsorted(self._row_index.get(row, -1)))
+            if pos == live.size or self._rows[live[pos]] != row:
                 return live
-            # enumeration blocks the first live row: a view, no copy
-            return live[1:] if pos == 0 else np.delete(live, pos)
+            return np.delete(live, pos)
         # partial clause: kill every row matching the given assignments
         match = np.ones(live.size, dtype=bool)
-        for name, _w, v in clause.assignments:
-            j = positions[name]
+        for name, v in assigned.items():
+            j = self._positions[name]
             if self._columns is not None:
                 match &= self._columns[j][live] == np.uint64(v)
             else:
@@ -280,8 +275,7 @@ class InMemoryOracle(Oracle):
         if self._columns is None:
             return None
         n = live.size
-        columns = [col[live] for col in self._columns]
-        position = {name: i for i, name in enumerate(self.projection.names)}
+        position = self._positions
         if c.family is Family.XOR:
             select: dict[int, int] = {}
             for coeff, sl in zip(c.coeffs, c.slices):
@@ -290,7 +284,7 @@ class InMemoryOracle(Oracle):
                     select[j] = select.get(j, 0) | (1 << sl.lo)
             acc = np.zeros(n, dtype=np.uint64)
             for j, bits in select.items():
-                acc ^= columns[j] & np.uint64(bits)
+                acc ^= self._columns[j][live] & np.uint64(bits)
             return np.bitwise_count(acc) & np.uint64(1)
         if c.family is Family.PRIME:
             p = c.range_size
@@ -302,7 +296,7 @@ class InMemoryOracle(Oracle):
                 return None
             acc = np.zeros(n, dtype=np.uint64)
             for coeff, sl in zip(c.coeffs, c.slices):
-                col = columns[position[sl.var]]
+                col = self._columns[position[sl.var]][live]
                 v = (col >> np.uint64(sl.lo)) & np.uint64((1 << sl.width) - 1)
                 acc += (np.uint64(coeff) * v) % np.uint64(p)
             acc += np.uint64(c.offset % p)
@@ -314,7 +308,7 @@ class InMemoryOracle(Oracle):
             # uint64 wraparound is exact mod 2^64, and 2^wbar divides 2^64
             acc = np.zeros(n, dtype=np.uint64)
             for coeff, sl in zip(c.coeffs, c.slices):
-                col = columns[position[sl.var]]
+                col = self._columns[position[sl.var]][live]
                 v = (col >> np.uint64(sl.lo)) & np.uint64((1 << sl.width) - 1)
                 acc += np.uint64(coeff) * v
             acc += np.uint64(c.offset)

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pact.baseline import BaselineStatus, enumerate_count
-from pact.errors import ProtocolError, SolverCrashed, StackUnderflow
+from pact.errors import ProtocolError, SolverCrashed, StackUnderflow, UnknownVariable
 from pact.hashing import Family, HashConstraint, Slice, eval_hash, generate_hash
-from pact.oracle import InMemoryOracle, Oracle, SolverResult, SubprocessOracle
+from pact.oracle import InMemoryOracle, SolverResult, SubprocessOracle
 from pact.smtlib import BlockingClause, ProjectionSet, SortedVar, resolve_projection, parse_declarations
 
 import random
@@ -117,6 +117,16 @@ class TestInMemoryStack:
             oracle.assert_constraint(BlockingClause((("x", 3, m["x"]),)))
         assert seen == [2, 5, 7]
 
+    def test_models_are_read_by_name(self):
+        x, y = bv("x", 2), bv("y", 2)
+        oracle = InMemoryOracle(proj(x, y), [(1, 2), (1, 3), (2, 3)])
+        assert oracle.check_sat() is SolverResult.SAT
+        assert oracle.get_projected_model(proj(y, x)) == {"y": 2, "x": 1}
+        assert oracle.count_upto(proj(y), 10) == 2  # distinct y values
+        assert oracle.count_upto(proj(x), 10) == 2
+        with pytest.raises(UnknownVariable):
+            oracle.get_projected_model(proj(bv("z", 2)))
+
     def test_model_without_sat_state(self):
         oracle = InMemoryOracle(X3, [])
         with pytest.raises(ProtocolError):
@@ -163,10 +173,10 @@ def test_vectorized_filter_matches_reference(data):
 
 @pytest.mark.parametrize("widths", [(6, 5), (70, 4)], ids=["narrow", "wide"])
 @pytest.mark.parametrize("family", list(Family), ids=str)
-def test_count_upto_matches_enumerate_and_block(family, widths):
-    """The in-memory count agrees with the base enumerate-and-block loop and
-    with brute force after random hash stacks and a partial blocking clause.
-    A 70-bit variable takes the scalar eval_hash path."""
+def test_count_upto_matches_brute_force(family, widths):
+    """Enumerate-and-block over live-index frames agrees with brute force
+    after random hash stacks and a partial blocking clause.  A 70-bit
+    variable takes the scalar eval_hash path."""
     p = proj(bv("x", widths[0]), bv("y", widths[1]))
     rng = random.Random(f"{family}/{widths}")
     rows = {(rng.getrandbits(widths[0]), rng.getrandbits(widths[1])) for _ in range(250)}
@@ -189,7 +199,6 @@ def test_count_upto_matches_enumerate_and_block(family, widths):
         live = oracle.live_values()
         for thresh in (1, 20, 73):
             assert oracle.count_upto(p, thresh) == min(truth, thresh)
-            assert Oracle.count_upto(oracle, p, thresh) == min(truth, thresh)
         assert oracle.depth == len(stack)
         assert oracle.live_values() == live  # the loop's blocking clauses were scoped
         while oracle.depth:
