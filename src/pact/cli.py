@@ -16,7 +16,7 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import corpus
@@ -244,11 +244,9 @@ def run_bench(config: BenchConfig, progress=None) -> tuple[list[BenchRow], int]:
     lock = threading.Lock()
 
     def one(entry: corpus.ManifestEntry) -> None:
-        inst = corpus.build(entry.spec)
         run_config = RunConfig(
             mode="count",
             input=str(entry.script_path),
-            project=" ".join(inst.projection),
             epsilon=config.epsilon,
             delta=config.delta,
             family=config.family,
@@ -256,14 +254,23 @@ def run_bench(config: BenchConfig, progress=None) -> tuple[list[BenchRow], int]:
             solver_cmd=config.solver_cmd,
             timeout=config.timeout,
         )
-        if config.backend == "memory":
-            factory = lambda script, projection: InMemoryOracle(
-                projection, inst.solutions
-            )
-            record, _ = run_count(run_config, oracle_factory=factory)
-        else:
-            record, _ = run_count(run_config)
-        row = BenchRow(entry.spec.name, inst.true_count, record)
+        started = time.monotonic()
+        true_count = entry.spec.count  # the generator's count, until built
+        try:
+            inst = corpus.build(entry.spec)
+            true_count = inst.true_count
+            run_config = replace(run_config, project=" ".join(inst.projection))
+            if config.backend == "memory":
+                factory = lambda script, projection: InMemoryOracle(
+                    projection, inst.solutions
+                )
+                record, _ = run_count(run_config, oracle_factory=factory)
+            else:
+                record, _ = run_count(run_config)
+        except Exception as exc:  # any fault is this instance's record, not the sweep's end
+            detail = f"{type(exc).__name__}: {exc}"
+            record = _record(run_config, "error", None, config.seed, None, started, detail)
+        row = BenchRow(entry.spec.name, true_count, record)
         with lock:
             rows.append(row)
             if progress:

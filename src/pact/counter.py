@@ -17,6 +17,8 @@ import random
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     CounterFailed,
     ExhaustedIndices,
@@ -25,9 +27,16 @@ from .errors import (
     OracleTimeout,
     PactError,
 )
-from .hashing import Family, HashStack, generate_hash, smallest_prime_above
+from .hashing import (
+    Family,
+    HashConstraint,
+    HashStack,
+    generate_hash,
+    satisfied,
+    smallest_prime_above,
+)
 from .oracle import Oracle, QueryStats
-from .smtlib import ProjectionSet
+from .smtlib import BlockingClause, ProjectionSet
 
 
 @dataclass(frozen=True)
@@ -77,15 +86,138 @@ def get_constants(
     return Constants(thresh=thresh, itercount=itercount, ell=ell)
 
 
+class ModelCache:
+    """The distinct projected models one count has fetched, and how deep
+    each lies along the current iteration's hash chain.
+
+    A hash constraint reads only projection variables, so the cache decides
+    with the hash semantics alone which of its models lie in a cell: those
+    meeting the cell's leading chain constraints.  Models are kept as one
+    column per projection variable (uint64, or Python ints above 64 bits).
+    `_depth[m]` is the number of leading chain constraints model m meets,
+    counted over the first `_evaluated` of them; constraints drawn since
+    are evaluated, on the models meeting all the others, at the next count.
+    The constraints of one chain share their family and slicing, so each
+    count costs a fixed number of array operations, whatever the number of
+    models or constraints.
+    """
+
+    def __init__(self, projection: ProjectionSet):
+        self.projection = projection
+        self._dtypes = [np.uint64 if v.width <= 64 else object for v in projection.variables]
+        self._columns = [np.empty(0, dtype=d) for d in self._dtypes]
+        self._depth = np.empty(0, dtype=np.intp)
+        self._seen: set[tuple[int, ...]] = set()
+        self._chain: list[HashConstraint] = []
+        self._evaluated = 0
+
+    def _named(self, columns) -> dict[str, np.ndarray]:
+        return dict(zip(self.projection.names, columns))
+
+    def _at(self, at: np.ndarray) -> dict[str, np.ndarray]:
+        return self._named([col[at] for col in self._columns])
+
+    @staticmethod
+    def _leading(constraints, columns) -> np.ndarray:
+        """How many leading constraints each model meets."""
+        met = satisfied(constraints, columns)
+        return np.where(met.all(axis=0), len(constraints), met.argmin(axis=0))
+
+    def start_chain(self) -> None:
+        self._chain = []
+        self._evaluated = 0
+        self._depth[:] = 0
+
+    def extend(self, constraint: HashConstraint) -> None:
+        self._chain.append(constraint)
+
+    def _evaluate_chain(self) -> None:
+        pending = self._chain[self._evaluated :]
+        if pending:
+            at = np.flatnonzero(self._depth == self._evaluated)
+            if at.size:
+                self._depth[at] += self._leading(pending, self._at(at))
+            self._evaluated = len(self._chain)
+
+    def members(self, index: int, extra: HashConstraint | None = None) -> np.ndarray:
+        """Models in the cell of the first `index` chain constraints, and
+        of `extra` too when given."""
+        self._evaluate_chain()
+        at = np.flatnonzero(self._depth >= index)
+        if extra is not None and at.size:
+            at = at[satisfied([extra], self._at(at))[0]]
+        return at
+
+    def clause(self, at: np.ndarray) -> BlockingClause | None:
+        """One assertion blocking the models at `at`, or None for none."""
+        if not at.size:
+            return None
+        rows = zip(*(col[at].tolist() for col in self._columns))
+        return BlockingClause.from_rows(self.projection, rows)
+
+    def add(self, models, index: int, extra: HashConstraint | None = None) -> None:
+        """Cache models the oracle found in the cell `members(index, extra)`
+        names, after checking that each is new and lies in that cell."""
+        if not models:
+            return
+        self._evaluate_chain()
+        names = self.projection.names
+        values = [[model[name] for model in models] for name in names]
+        rows = list(zip(*values))
+        columns = [np.array(col, dtype=d) for col, d in zip(values, self._dtypes)]
+        named = self._named(columns)
+        if self._chain:
+            depth = self._leading(self._chain, named)
+        else:
+            depth = np.zeros(len(rows), dtype=np.intp)
+        outside = depth < index
+        if extra is not None:
+            outside |= ~satisfied([extra], named)[0]
+        if outside.any():
+            raise InconsistentOracle(
+                "the oracle returned a model outside the cell it was counting: "
+                f"{dict(zip(names, rows[int(np.argmax(outside))]))}"
+            )
+        for row in rows:
+            if row in self._seen:
+                raise InconsistentOracle(
+                    "the oracle returned a model it had already returned: "
+                    f"{dict(zip(names, row))}"
+                )
+            self._seen.add(row)
+        self._columns = [np.concatenate(pair) for pair in zip(self._columns, columns)]
+        self._depth = np.concatenate((self._depth, depth))
+
+
 def saturating_count(
-    oracle: Oracle, projection: ProjectionSet, thresh: int
+    oracle: Oracle,
+    projection: ProjectionSet,
+    thresh: int,
+    cache: ModelCache | None = None,
+    index: int = 0,
+    extra: HashConstraint | None = None,
 ) -> SaturatingCount:
-    """Count the current cell up to thresh: exact below it, saturated at it."""
+    """Count the current cell up to thresh: exact below it, saturated at it.
+
+    The oracle holds the first `index` constraints of the cache's chain,
+    then `extra` if given.  The cell's cached members count without asking
+    the oracle; when they fall short of thresh, the oracle blocks them with
+    one assertion and enumerates the rest, and what it returns is checked
+    against the cell and cached.  Without a cache, a fresh one knows no
+    chain, so only `extra` and repeats are checked.
+    """
     if thresh < 1:
         raise InvalidParameters(f"threshold must be >= 1, got {thresh}")
     if oracle.deadline is not None and time.monotonic() >= oracle.deadline:
         raise OracleTimeout("time budget spent before counting a cell")
-    n = oracle.count_upto(projection, thresh)
+    if cache is None:
+        cache, index = ModelCache(projection), 0
+    known = cache.members(index, extra)
+    if known.size >= thresh:
+        return SATURATED
+    fetched: list[dict[str, int]] = []
+    n = oracle.count_upto(projection, thresh, cache.clause(known), fetched)
+    cache.add(fetched, index, extra)
     return SATURATED if n >= thresh else SaturatingCount.exact(n)
 
 
@@ -231,6 +363,7 @@ def fix_last_hash(
     rng: random.Random,
     *,
     exponent_halving: bool = False,
+    cache: ModelCache | None = None,
 ) -> FixResult:
     """Swap the boundary constraint for coarser draws while counts stay exact.
 
@@ -267,7 +400,9 @@ def fix_last_hash(
         oracle.push()
         oracle.assert_constraint(candidate)
         try:
-            candidate_count = saturating_count(oracle, projection, thresh)
+            candidate_count = saturating_count(
+                oracle, projection, thresh, cache, index - 1, candidate
+            )
         finally:
             oracle.pop()
         probes += 1
@@ -325,8 +460,10 @@ def _one_iteration(
     max_index: int,
     on_exhausted: str,
     exponent_halving: bool,
+    cache: ModelCache,
 ) -> _IterationOutcome:
     entry_depth = oracle.depth
+    cache.start_chain()
     try:
         ledger = CellLedger()
         ledger.record(0, SATURATED)
@@ -336,7 +473,9 @@ def _one_iteration(
         while True:
             target = next_index(ledger, max_index)
             while len(stack) < target:
-                stack = stack.extend(generate_hash(projection, consts.ell, family, rng))
+                constraint = generate_hash(projection, consts.ell, family, rng)
+                stack = stack.extend(constraint)
+                cache.extend(constraint)
             if target > depth:
                 for i in range(depth, target):
                     oracle.push()
@@ -345,7 +484,7 @@ def _one_iteration(
                 for _ in range(depth - target):
                     oracle.pop()
             depth = target
-            count = saturating_count(oracle, projection, consts.thresh)
+            count = saturating_count(oracle, projection, consts.thresh, cache, target)
             probes += 1
             ledger.record(target, count)
             if count.is_exact:
@@ -378,6 +517,7 @@ def _one_iteration(
             consts.thresh,
             rng,
             exponent_halving=exponent_halving,
+            cache=cache,
         )
         probes += fixed.probes
         if fixed.outcome is RefinementOutcome.UNCHANGED_XOR:
@@ -431,9 +571,10 @@ def pact_count(
         seed = random.SystemRandom().getrandbits(32)
     rng = random.Random(seed)
     base_stats = oracle.stats.copy()
+    cache = ModelCache(projection)
 
     # the unconstrained count is shared by every iteration
-    c0 = saturating_count(oracle, projection, consts.thresh)
+    c0 = saturating_count(oracle, projection, consts.thresh, cache)
     if c0.is_exact:
         return CountResult(
             estimate=c0.count,
@@ -468,6 +609,7 @@ def pact_count(
                 max_index,
                 on_exhausted,
                 exponent_halving,
+                cache,
             )
             if outcome.estimate is not None:
                 estimates.append(outcome.estimate)

@@ -56,7 +56,8 @@ class ExhaustedIndices(PactError):
 
 
 class InconsistentOracle(PactError):
-    """The oracle's cell counts grew along a hash chain or changed on a re-probe."""
+    """The oracle returned a model outside the cell or one it had returned before,
+    or its cell counts grew along a hash chain or changed on a re-probe."""
 
 
 class CounterFailed(PactError):

@@ -15,9 +15,12 @@ Each accepted draw is uniform over its family; coefficients may be zero.
 from __future__ import annotations
 
 import enum
+import functools
 import random
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import RangeExceeded
 from .smtlib import ProjectionSet
@@ -63,6 +66,14 @@ class HashConstraint:
     target: int  # alpha
     ell: int  # range exponent the draw was made at
     widened_width: int | None = None  # arithmetic width for PRIME/SHIFT
+
+    @functools.cached_property
+    def coeff_array(self) -> np.ndarray | None:
+        """The coefficients as uint64, or None when one needs more bits."""
+        try:
+            return np.array(self.coeffs, dtype=np.uint64)
+        except OverflowError:
+            return None
 
 
 def slice_projection(projection: ProjectionSet, ell: int) -> tuple[Slice, ...]:
@@ -208,6 +219,84 @@ def eval_hash(constraint: HashConstraint, model: Mapping[str, int]) -> int:
     # SHIFT: top ell bits of the wbar-bit wrap-around sum
     wbar = constraint.widened_width
     return (total % (1 << wbar)) >> (wbar - constraint.ell)
+
+
+def hash_values(
+    constraints: Sequence[HashConstraint], columns: Mapping[str, np.ndarray]
+) -> np.ndarray | None:
+    """Hash values of several constraints on many models at once.
+
+    The constraints share one family and one slicing, as the constraints of
+    a chain drawn at one range exponent do.  `columns` maps every projection
+    variable to a uint64 array with one value per model.  Row k of the
+    result holds constraint k's hash value on each model.  Returns None when
+    64-bit arithmetic can't hold the computation.
+    """
+    if any(col.dtype != np.uint64 for col in columns.values()):
+        return None
+    first = constraints[0]
+    n = len(next(iter(columns.values())))
+    rows = [c.coeff_array for c in constraints]
+    if any(row is None for row in rows):
+        return None
+    coeffs = np.stack(rows)
+    if first.family is Family.XOR:
+        # one mask per variable: the chosen bits of all its 1-bit slices
+        names = [sl.var for sl in first.slices]
+        starts = [s for s, name in enumerate(names) if s == 0 or name != names[s - 1]]
+        lo = np.array([sl.lo for sl in first.slices], dtype=np.uint64)
+        masks = np.bitwise_or.reduceat(coeffs << lo, starts, axis=1)
+        acc = masks[:, :1] & columns[names[0]]
+        for j in range(1, len(starts)):
+            acc ^= masks[:, j : j + 1] & columns[names[starts[j]]]
+        return np.bitwise_count(acc) & np.uint64(1)
+    if first.family is Family.PRIME:
+        # the whole sum must fit in 64 bits: one mod at the end
+        p = first.range_size
+        if p + int(coeffs.max()) * sum((1 << sl.width) - 1 for sl in first.slices) >= 1 << 64:
+            return None
+        offsets = [c.offset % p for c in constraints]
+    elif first.family is Family.SHIFT:
+        # uint64 wraparound is exact mod 2^64, and 2^wbar divides 2^64
+        if first.widened_width > 64:
+            return None
+        offsets = [c.offset for c in constraints]
+    else:
+        return None
+    for s, sl in enumerate(first.slices):
+        v = columns[sl.var]
+        if sl.lo:
+            v = v >> np.uint64(sl.lo)
+        if sl.hi < sl.parent_width:
+            v = v & np.uint64((1 << sl.width) - 1)
+        if s == 0:
+            acc = coeffs[:, :1] * v
+        else:
+            acc += coeffs[:, s : s + 1] * v
+    acc += np.array(offsets, dtype=np.uint64)[:, None]
+    if first.family is Family.PRIME:
+        return acc % np.uint64(p)
+    wbar = first.widened_width
+    return (acc & np.uint64((1 << wbar) - 1)) >> np.uint64(wbar - first.ell)
+
+
+def satisfied(
+    constraints: Sequence[HashConstraint], columns: Mapping[str, np.ndarray]
+) -> np.ndarray:
+    """Whether each model meets each constraint, as a boolean array shaped
+    like `hash_values`.
+
+    Vectorized where `hash_values` can be; otherwise `eval_hash` decides,
+    model by model, which also takes columns of Python ints (object arrays).
+    """
+    values = hash_values(constraints, columns)
+    if values is not None:
+        targets = np.array([c.target for c in constraints], dtype=np.uint64)
+        return values == targets[:, None]
+    names = list(columns)
+    models = [dict(zip(names, row)) for row in zip(*(col.tolist() for col in columns.values()))]
+    met = [[eval_hash(c, m) == c.target for m in models] for c in constraints]
+    return np.array(met, dtype=bool).reshape(len(constraints), len(models))
 
 
 @dataclass(frozen=True)

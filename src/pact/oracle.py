@@ -34,7 +34,7 @@ from .errors import (
     StackUnderflow,
     UnknownVariable,
 )
-from .hashing import Family, HashConstraint, eval_hash
+from .hashing import HashConstraint, satisfied
 from .smtlib import (
     BlockingClause,
     Form,
@@ -103,13 +103,27 @@ class Oracle(ABC):
     def get_projected_model(self, projection: ProjectionSet) -> dict[str, int]:
         """Values of the projection variables; requires a preceding SAT."""
 
-    def count_upto(self, projection: ProjectionSet, thresh: int) -> int:
+    def count_upto(
+        self,
+        projection: ProjectionSet,
+        thresh: int,
+        known: BlockingClause | None = None,
+        fetched: list | None = None,
+    ) -> int:
         """Models of the current frame, up to thresh: enumerate-and-block
-        inside a scratch frame, so the blocking clauses go with it."""
+        inside a scratch frame, so the blocking clauses go with it.
+
+        `known` names models already known to lie in the frame: they are
+        counted and blocked with that one assertion before enumerating the
+        rest.  Each model the solver returns is appended to `fetched`.
+        """
         self.push()
         try:
             n = 0
-            while True:
+            if known is not None:
+                self.assert_constraint(known)
+                n = len(known)
+            while n < thresh:
                 result = self.check_sat()
                 if result is SolverResult.UNSAT:
                     return n
@@ -121,10 +135,12 @@ class Oracle(ABC):
                 if result is SolverResult.TIMEOUT:
                     raise OracleTimeout("solver timed out while counting a cell")
                 model = self.get_projected_model(projection)
+                if fetched is not None:
+                    fetched.append(model)
                 n += 1
-                if n >= thresh:
-                    return n
-                self.assert_constraint(BlockingClause.from_model(projection, model))
+                if n < thresh:
+                    self.assert_constraint(BlockingClause.from_model(projection, model))
+            return n
         finally:
             self.pop()
 
@@ -151,7 +167,7 @@ class InMemoryOracle(Oracle):
     downstream result is deterministic.  A push shares the top array; a
     constraint replaces it with its survivors.  Constraint filtering is
     vectorized with numpy where slice arithmetic fits in 64 bits and falls
-    back to the scalar `eval_hash` otherwise.
+    back to the scalar `eval_hash` otherwise (`hashing.satisfied`).
     """
 
     def __init__(
@@ -176,15 +192,18 @@ class InMemoryOracle(Oracle):
             rows.add(row)
         self._rows: list[tuple[int, ...]] = sorted(rows)
         self._row_index = {row: i for i, row in enumerate(self._rows)}
-        self._positions = {name: j for j, name in enumerate(projection.names)}
+        self._names = projection.names
+        self._positions = {name: j for j, name in enumerate(self._names)}
         n = len(self._rows)
-        if all(w <= 64 for w in widths):
-            self._columns = [
-                np.fromiter((row[j] for row in self._rows), dtype=np.uint64, count=n)
-                for j in range(k)
-            ]
-        else:
-            self._columns = None
+        # values above 64 bits stay Python ints, in object columns
+        self._columns = [
+            np.fromiter(
+                (row[j] for row in self._rows),
+                dtype=np.uint64 if w <= 64 else object,
+                count=n,
+            )
+            for j, w in enumerate(widths)
+        ]
         self._frames: list[np.ndarray] = [np.arange(n, dtype=np.intp)]
 
     @property
@@ -233,88 +252,38 @@ class InMemoryOracle(Oracle):
     # -- filtering internals: each takes the live indices and returns survivors
 
     def _after_block(self, clause: BlockingClause, live: np.ndarray) -> np.ndarray:
-        assigned = {name: v for name, _w, v in clause.assignments}
-        for name in assigned:
-            if name not in self._positions:
-                raise UnknownVariable(f"blocking clause names {name!r}, not projected")
-        if len(assigned) == len(self._positions):
-            row = tuple(assigned[name] for name in self._positions)
-            if live.size and self._rows[live[0]] == row:
-                return live[1:]  # enumeration blocks the first live row: a view, no copy
-            pos = int(live.searchsorted(self._row_index.get(row, -1)))
-            if pos == live.size or self._rows[live[pos]] != row:
-                return live
-            return np.delete(live, pos)
-        # partial clause: kill every row matching the given assignments
-        match = np.ones(live.size, dtype=bool)
-        for name, v in assigned.items():
-            j = self._positions[name]
-            if self._columns is not None:
-                match &= self._columns[j][live] == np.uint64(v)
-            else:
-                match &= np.fromiter(
-                    (self._rows[i][j] == v for i in live), dtype=bool, count=live.size
-                )
-        return live[~match]
+        names = tuple(name for name, _w, _v in clause.assignments)
+        rows = clause.rows
+        if names != self._names:
+            for name in names:
+                if name not in self._positions:
+                    raise UnknownVariable(f"blocking clause names {name!r}, not projected")
+            if len(set(names)) < len(self._positions):
+                # partial clause: kill every row matching one of its assignments
+                dead = np.zeros(live.size, dtype=bool)
+                for row in rows:
+                    match = np.ones(live.size, dtype=bool)
+                    for name, v in zip(names, row):
+                        match &= self._columns[self._positions[name]][live] == v
+                    dead |= match
+                return live[~dead]
+            order = [names.index(name) for name in self._positions]
+            rows = [tuple(row[i] for i in order) for row in rows]
+        if len(rows) == 1 and live.size and self._rows[live[0]] == rows[0]:
+            return live[1:]  # enumeration blocks the first live row: a view, no copy
+        found = np.fromiter(
+            (self._row_index.get(row, -1) for row in rows), dtype=np.intp, count=len(rows)
+        )
+        pos = live.searchsorted(found)
+        hit = pos < live.size
+        hit[hit] = live[pos[hit]] == found[hit]
+        return np.delete(live, pos[hit])
 
     def _after_hash(self, constraint: HashConstraint, live: np.ndarray) -> np.ndarray:
-        values = self._vector_hash_values(constraint, live)
-        if values is not None:
-            return live[values == constraint.target]
-        names = self.projection.names
-        keep = np.fromiter(
-            (eval_hash(constraint, dict(zip(names, self._rows[i]))) == constraint.target
-             for i in live),
-            dtype=bool,
-            count=live.size,
-        )
-        return live[keep]
-
-    def _vector_hash_values(self, c: HashConstraint, live: np.ndarray) -> np.ndarray | None:
-        """Hash value per live row, or None when 64-bit arithmetic can't hold it."""
-        if self._columns is None:
-            return None
-        n = live.size
-        position = self._positions
-        if c.family is Family.XOR:
-            select: dict[int, int] = {}
-            for coeff, sl in zip(c.coeffs, c.slices):
-                if coeff:
-                    j = position[sl.var]
-                    select[j] = select.get(j, 0) | (1 << sl.lo)
-            acc = np.zeros(n, dtype=np.uint64)
-            for j, bits in select.items():
-                acc ^= self._columns[j][live] & np.uint64(bits)
-            return np.bitwise_count(acc) & np.uint64(1)
-        if c.family is Family.PRIME:
-            p = c.range_size
-            # stepwise mod keeps every intermediate below d*p + p^2
-            if any(
-                coeff * ((1 << sl.width) - 1) >= (1 << 63)
-                for coeff, sl in zip(c.coeffs, c.slices)
-            ):
-                return None
-            acc = np.zeros(n, dtype=np.uint64)
-            for coeff, sl in zip(c.coeffs, c.slices):
-                col = self._columns[position[sl.var]][live]
-                v = (col >> np.uint64(sl.lo)) & np.uint64((1 << sl.width) - 1)
-                acc += (np.uint64(coeff) * v) % np.uint64(p)
-            acc += np.uint64(c.offset % p)
-            return acc % np.uint64(p)
-        if c.family is Family.SHIFT:
-            wbar = c.widened_width
-            if wbar > 64:
-                return None
-            # uint64 wraparound is exact mod 2^64, and 2^wbar divides 2^64
-            acc = np.zeros(n, dtype=np.uint64)
-            for coeff, sl in zip(c.coeffs, c.slices):
-                col = self._columns[position[sl.var]][live]
-                v = (col >> np.uint64(sl.lo)) & np.uint64((1 << sl.width) - 1)
-                acc += np.uint64(coeff) * v
-            acc += np.uint64(c.offset)
-            acc &= np.uint64((1 << wbar) - 1)
-            return acc >> np.uint64(wbar - c.ell)
-        return None
+        columns = dict(zip(self._names, self._columns))
+        if live.size < len(self._rows):  # else live is every row, in order
+            columns = {name: col[live] for name, col in columns.items()}
+        return live[satisfied([constraint], columns)[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -517,15 +486,20 @@ class SubprocessOracle(Oracle):
             raise ProtocolError(f"expected success for {cmd!r}, got {resp[1].text!r}")
 
     def _restart_after_timeout(self) -> None:
-        """Kill the wedged process, respawn, and replay the journal."""
-        self._log("#", "timeout: killing and replaying session")
+        """Kill the wedged process, respawn, and replay the journal, unless
+        the run's deadline has passed: then the handle stays dead."""
         self._teardown_process()
+        if self.deadline is not None and time.monotonic() >= self.deadline:
+            self._log("#", "timeout: killing the session, the time budget is spent")
+            self._dead = True
+            return
+        self._log("#", "timeout: killing and replaying session")
         try:
             self._spawn()
             for frame in self._journal:
                 for cmd in frame:
                     self._write(cmd)
-                    resp = self._read_response(self.query_timeout)
+                    resp = self._read_response(self._budget())
                     if resp is None or resp[0] != "success":
                         raise ProtocolError(f"replay of {cmd!r} was not acknowledged")
         except Exception:

@@ -191,13 +191,35 @@ class ProjectionSet:
 
 @dataclass(frozen=True)
 class BlockingClause:
-    """Negation of one projected model: (name, width, value) per variable."""
+    """Negation of one or more projected models.
+
+    `assignments` holds (name, width, value) per variable for the first
+    model; each row of `more` holds the values of one further model, for
+    the same variables in the same order.
+    """
 
     assignments: tuple[tuple[str, int, int], ...]
+    more: tuple[tuple[int, ...], ...] = ()
 
     @classmethod
     def from_model(cls, projection: ProjectionSet, model: dict[str, int]) -> "BlockingClause":
         return cls(tuple((v.name, v.width, model[v.name]) for v in projection.variables))
+
+    @classmethod
+    def from_rows(cls, projection: ProjectionSet, rows) -> "BlockingClause":
+        """Block every row of values, each given in projection order."""
+        first, *rest = rows
+        return cls(
+            tuple((v.name, v.width, x) for v, x in zip(projection.variables, first)),
+            tuple(rest),
+        )
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return (tuple(v for _n, _w, v in self.assignments),) + self.more
+
+    def __len__(self) -> int:
+        return 1 + len(self.more)
 
 
 def unquote_symbol(token: str) -> str:
@@ -350,18 +372,22 @@ def _render_linear_sum(constraint: "HashConstraint") -> str:
 
 
 def render_assertion(constraint) -> str:
-    """Render a hash constraint or blocking clause as one `(assert ...)`.
+    """Render a hash constraint or blocking clause as one `(assert ...)`;
+    a clause blocking several models is a conjunction of negations.
 
     Uses only QF_BV operators (bvmul, bvadd, bvurem, extract, bvxor,
     zero_extend, =, not, and) and binary literals.
     """
     if isinstance(constraint, BlockingClause):
-        eqs = [
-            f"(= {quote_symbol(name)} {_bits(value, width)})"
-            for name, width, value in constraint.assignments
-        ]
-        body = eqs[0] if len(eqs) == 1 else "(and " + " ".join(eqs) + ")"
-        return f"(assert (not {body}))"
+        symbols = [(quote_symbol(name), width) for name, width, _v in constraint.assignments]
+        negations = []
+        for row in constraint.rows:
+            eqs = [f"(= {sym} {_bits(v, width)})" for (sym, width), v in zip(symbols, row)]
+            body = eqs[0] if len(eqs) == 1 else "(and " + " ".join(eqs) + ")"
+            negations.append(f"(not {body})")
+        if len(negations) == 1:
+            return f"(assert {negations[0]})"
+        return "(assert (and " + " ".join(negations) + "))"
 
     from .hashing import Family  # deferred: hashing imports this module's types
 

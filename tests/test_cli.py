@@ -169,7 +169,7 @@ class TestRunCount:
         record, code = run_count(RunConfig("count", str(script), seed=1), factory)
         assert code == EXIT_ERROR
         assert record.status == "error"
-        assert "not non-increasing" in record.detail
+        assert "outside the cell" in record.detail
 
     def test_memory_backend_honours_the_timeout(self, tmp_path):
         spec = InstanceSpec("inst", "interval", 16, 30_000, seed=1)
@@ -251,6 +251,35 @@ class TestBench:
         assert "error" in {r.record.status for r in rows}
         assert code == EXIT_ERROR
         assert len((out / "records.jsonl").read_text().splitlines()) == 2
+
+    def test_unexpected_errors_do_not_abort_the_sweep(self, tmp_path, monkeypatch):
+        manifest = self.manifest(tmp_path)
+        real_build = cli.corpus.build
+
+        def build(spec):
+            if spec.name == "b-one":
+                raise RuntimeError("generator broke")
+            return real_build(spec)
+
+        monkeypatch.setattr(cli.corpus, "build", build)
+        out = tmp_path / "bench"
+        rows, code = run_bench(BenchConfig(str(manifest), str(out), seed=3))
+        assert code == EXIT_ERROR
+        assert {r.name: r.record.status for r in rows} == {"b-one": "error", "b-two": "ok"}
+        assert "RuntimeError: generator broke" in rows[0].record.detail
+        assert len((out / "records.jsonl").read_text().splitlines()) == 2
+
+    def test_an_oracle_fault_does_not_abort_the_sweep(self, tmp_path, monkeypatch):
+        class Broken(InMemoryOracle):
+            def check_sat(self):
+                raise RuntimeError("oracle broke")
+
+        manifest = self.manifest(tmp_path)
+        monkeypatch.setattr(cli, "InMemoryOracle", Broken)
+        rows, code = run_bench(BenchConfig(str(manifest), str(tmp_path / "bench"), seed=3))
+        assert code == EXIT_ERROR
+        assert [r.record.status for r in rows] == ["error", "error"]
+        assert all("oracle broke" in r.record.detail for r in rows)
 
     def test_memory_sweep_records_timeouts_and_finishes(self, tmp_path, capsys):
         manifest = self.manifest(tmp_path, [

@@ -10,6 +10,7 @@ from pact.counter import (
     SATURATED,
     CellLedger,
     CounterFailed,
+    ModelCache,
     RefinementOutcome,
     SaturatingCount,
     cell_estimate,
@@ -22,9 +23,9 @@ from pact.counter import (
     saturating_count,
 )
 from pact.errors import InconsistentOracle, InvalidParameters
-from pact.hashing import Family, HashStack, generate_hash
+from pact.hashing import Family, HashConstraint, HashStack, Slice, generate_hash
 from pact.oracle import InMemoryOracle
-from pact.smtlib import ProjectionSet, SortedVar
+from pact.smtlib import BlockingClause, ProjectionSet, SortedVar
 
 
 def bv(name, width):
@@ -90,6 +91,87 @@ class TestSaturatingCount:
         oracle = InMemoryOracle(proj(8), [1])
         with pytest.raises(InvalidParameters):
             saturating_count(oracle, proj(8), 0)
+
+
+class IgnoresHashes(InMemoryOracle):
+    """Inconsistent: accepts hash constraints and drops them."""
+
+    def assert_constraint(self, constraint):
+        if not isinstance(constraint, HashConstraint):
+            super().assert_constraint(constraint)
+
+
+class IgnoresBlocks(InMemoryOracle):
+    """Inconsistent: accepts blocking clauses and drops them."""
+
+    def assert_constraint(self, constraint):
+        if not isinstance(constraint, BlockingClause):
+            super().assert_constraint(constraint)
+
+
+def low_bit_is_zero(width):
+    return HashConstraint(
+        Family.XOR,
+        tuple(Slice("x", width, i, i + 1) for i in range(width)),
+        (1,) + (0,) * (width - 1),
+        None,
+        2,
+        0,
+        1,
+    )
+
+
+class TestModelCache:
+    def test_known_members_saturate_without_the_oracle(self):
+        p = proj(8)
+        oracle = InMemoryOracle(p, range(200))
+        cache = ModelCache(p)
+        assert not saturating_count(oracle, p, 73, cache).is_exact
+        calls = oracle.stats.check_sat_calls
+        assert not saturating_count(oracle, p, 73, cache).is_exact
+        assert oracle.stats.check_sat_calls == calls
+
+    def test_known_members_are_blocked_with_one_assertion(self):
+        p = proj(8)
+        oracle = InMemoryOracle(p, range(100))
+        cache = ModelCache(p)
+        cache.add([{"x": v} for v in range(0, 100, 2)], 0)
+        assert saturating_count(oracle, p, 200, cache) == SaturatingCount.exact(100)
+        # one combined clause, then one clause per fetched model
+        assert oracle.stats.assertions_sent == 1 + 50
+        assert oracle.stats.check_sat_calls == 50 + 1  # the last says unsat
+        assert cache.members(0).size == 100
+
+    def test_a_model_outside_the_cell_is_inconsistent(self):
+        p = proj(8)
+        oracle = IgnoresHashes(p, range(40))
+        cache = ModelCache(p)
+        c = low_bit_is_zero(8)
+        cache.extend(c)
+        oracle.push()
+        oracle.assert_constraint(c)
+        with pytest.raises(InconsistentOracle, match="outside the cell"):
+            saturating_count(oracle, p, 73, cache, 1)
+
+    def test_a_candidate_is_checked_too(self):
+        p = proj(8)
+        oracle = IgnoresHashes(p, range(40))
+        with pytest.raises(InconsistentOracle, match="outside the cell"):
+            saturating_count(oracle, p, 73, ModelCache(p), 0, low_bit_is_zero(8))
+
+    def test_a_repeated_model_is_inconsistent(self):
+        p = proj(8)
+        oracle = IgnoresBlocks(p, range(40))
+        with pytest.raises(InconsistentOracle, match="already returned"):
+            saturating_count(oracle, p, 73, ModelCache(p))
+
+    def test_a_known_model_returned_again_is_inconsistent(self):
+        p = proj(8)
+        oracle = IgnoresBlocks(p, range(40))
+        cache = ModelCache(p)
+        cache.add([{"x": 0}], 0)
+        with pytest.raises(InconsistentOracle, match="already returned"):
+            saturating_count(oracle, p, 73, cache)
 
 
 class TestLedgerAndSearch:

@@ -2,6 +2,7 @@
 against the bundled brute-force solver."""
 
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -296,6 +297,24 @@ class TestSubprocess:
             assert oracle.depth == 1  # journal preserved across the restart
             # the replayed session still holds the blocking clause
             assert enumerate_count(oracle, p).count == 4
+
+    def test_no_respawn_once_the_deadline_has_passed(self, tmp_path, monkeypatch):
+        flag = tmp_path / "hang"
+        cmd = MINISOLVE + [
+            "--hang-flag-file", str(flag), "--hang-seconds", "60",
+        ]
+        with make_oracle(command=cmd) as oracle:
+            oracle.push()
+            oracle.assert_constraint(BlockingClause((("x", 4, 0),)))
+            spawns = []
+            monkeypatch.setattr(oracle, "_spawn", lambda: spawns.append(1))
+            oracle.deadline = time.monotonic() + 0.5
+            flag.touch()
+            assert oracle.check_sat() is SolverResult.TIMEOUT
+            assert spawns == []  # no respawn, so no replay either
+            assert oracle.pid is None
+            with pytest.raises(SolverCrashed):
+                oracle.check_sat()
 
     def test_immediate_exit_is_a_crash(self):
         with pytest.raises(SolverCrashed):
