@@ -68,10 +68,20 @@ class HashConstraint:
     widened_width: int | None = None  # arithmetic width for PRIME/SHIFT
 
     @functools.cached_property
-    def coeff_array(self) -> np.ndarray | None:
-        """The coefficients as uint64, or None when one needs more bits."""
+    def packed(self) -> np.ndarray | None:
+        """The coefficients as `hash_values` reads them, or None when one
+        needs more than 64 bits: for XOR one uint64 mask per variable, in
+        slice order, of the bits whose coefficient is 1; otherwise one
+        uint64 per slice."""
+        values = self.coeffs
+        if self.family is Family.XOR:
+            masks = dict.fromkeys((sl.var for sl in self.slices), 0)
+            for coeff, sl in zip(self.coeffs, self.slices):
+                if coeff:
+                    masks[sl.var] |= 1 << sl.lo
+            values = list(masks.values())
         try:
-            return np.array(self.coeffs, dtype=np.uint64)
+            return np.array(values, dtype=np.uint64)
         except OverflowError:
             return None
 
@@ -236,19 +246,15 @@ def hash_values(
         return None
     first = constraints[0]
     n = len(next(iter(columns.values())))
-    rows = [c.coeff_array for c in constraints]
+    rows = [c.packed for c in constraints]
     if any(row is None for row in rows):
         return None
-    coeffs = np.stack(rows)
+    coeffs = rows[0][None, :] if len(rows) == 1 else np.stack(rows)
     if first.family is Family.XOR:
-        # one mask per variable: the chosen bits of all its 1-bit slices
-        names = [sl.var for sl in first.slices]
-        starts = [s for s, name in enumerate(names) if s == 0 or name != names[s - 1]]
-        lo = np.array([sl.lo for sl in first.slices], dtype=np.uint64)
-        masks = np.bitwise_or.reduceat(coeffs << lo, starts, axis=1)
-        acc = masks[:, :1] & columns[names[0]]
-        for j in range(1, len(starts)):
-            acc ^= masks[:, j : j + 1] & columns[names[starts[j]]]
+        names = list(dict.fromkeys(sl.var for sl in first.slices))
+        acc = coeffs[:, :1] & columns[names[0]]
+        for j in range(1, len(names)):
+            acc ^= coeffs[:, j : j + 1] & columns[names[j]]
         return np.bitwise_count(acc) & np.uint64(1)
     if first.family is Family.PRIME:
         # the whole sum must fit in 64 bits: one mod at the end
