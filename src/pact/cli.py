@@ -15,6 +15,7 @@ import json
 import sys
 import threading
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -268,7 +269,11 @@ def run_bench(config: BenchConfig, progress=None) -> tuple[list[BenchRow], int]:
             else:
                 record, _ = run_count(run_config)
         except Exception as exc:  # any fault is this instance's record, not the sweep's end
-            detail = f"{type(exc).__name__}: {exc}"
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            detail = (
+                f"{type(exc).__name__}: {exc} "
+                f"(at {Path(where.filename).name}:{where.lineno} in {where.name})"
+            )
             record = _record(run_config, "error", None, config.seed, None, started, detail)
         row = BenchRow(entry.spec.name, true_count, record)
         with lock:

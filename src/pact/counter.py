@@ -6,7 +6,9 @@ boundary index, optionally swaps the last constraint for a coarser one to
 land the count as close under the threshold as possible, and scales the
 cell count by the number of cells.  The reported estimate is the median
 over many such iterations, which boosts the per-iteration confidence to
-the requested level.
+the requested level.  Every model the oracle returns is cached for the
+whole count, so a cell's known members are counted, and blocked, without
+asking the oracle for them again.
 """
 
 from __future__ import annotations
@@ -374,7 +376,8 @@ def fix_last_hash(
     holding `index - 1` constraints.  The first saturating candidate stops
     the search and the previously kept constraint stands; running out of
     exponents with every candidate still exact reports EXHAUSTED, carrying
-    the coarsest kept replacement.
+    the coarsest kept replacement.  `cache` is the count's model cache,
+    whose chain is the stack's (see `saturating_count`).
     """
     count = ledger.get(index)
     below = ledger.get(index - 1)

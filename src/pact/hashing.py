@@ -245,7 +245,6 @@ def hash_values(
     if any(col.dtype != np.uint64 for col in columns.values()):
         return None
     first = constraints[0]
-    n = len(next(iter(columns.values())))
     rows = [c.packed for c in constraints]
     if any(row is None for row in rows):
         return None
