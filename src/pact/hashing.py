@@ -272,8 +272,7 @@ def hash_values(
         v = columns[sl.var]
         if sl.lo:
             v = v >> np.uint64(sl.lo)
-        if sl.hi < sl.parent_width:
-            v = v & np.uint64((1 << sl.width) - 1)
+        v = v & np.uint64((1 << sl.width) - 1)
         if s == 0:
             acc = coeffs[:, :1] * v
         else:
