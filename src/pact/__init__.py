@@ -10,10 +10,10 @@ from .corpus import (
 )
 from .counter import (
     CountResult,
-    get_constants,
-    fix_last_hash,
+    find_boundary,
     find_median,
-    next_index,
+    fix_last_hash,
+    get_constants,
     pact_count,
     saturating_count,
 )
@@ -60,12 +60,12 @@ __all__ = [
     "build_instance",
     "enumerate_count",
     "eval_hash",
+    "find_boundary",
     "find_median",
     "fix_last_hash",
     "generate_hash",
     "get_constants",
     "load_manifest",
-    "next_index",
     "pact_count",
     "parse_declarations",
     "render_assertion",

@@ -18,6 +18,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -223,73 +224,64 @@ def saturating_count(
     return SATURATED if n >= thresh else SaturatingCount.exact(n)
 
 
-class CellLedger:
-    """Saturating counts remembered per constraint-chain length.
+def iteration_streams(seed: int, k: int) -> tuple[random.Random, random.Random]:
+    """The random streams of a count's k-th iteration attempt: one for its
+    hash chain, drawn in chain order, and one for its refinement candidates.
 
-    Counts are non-increasing in the index (every added constraint can only
-    shrink a cell); record() enforces that so an inconsistent oracle is
-    caught instead of sending the boundary search in circles.
+    They depend on the seed and k alone, so the chain constraint at each
+    index is the same whichever indices the search probes, in whichever
+    order, and an estimate depends on the seed alone.
     """
+    return (
+        random.Random(f"pact:{seed}:{k}:chain"),
+        random.Random(f"pact:{seed}:{k}:refine"),
+    )
 
-    def __init__(self):
-        self.entries: dict[int, SaturatingCount] = {}
 
-    def record(self, index: int, count: SaturatingCount) -> None:
-        for other, known in self.entries.items():
-            if other == index:
-                if known != count:
-                    raise InconsistentOracle(
-                        f"cell count at index {index} changed from {known} to {count}"
-                    )
-                continue
-            shallow, deep = (count, known) if index < other else (known, count)
-            bad = shallow.is_exact and (
-                not deep.is_exact or deep.count > shallow.count
+def find_boundary(
+    probe: Callable[[int], SaturatingCount], max_index: int
+) -> tuple[int, SaturatingCount, int]:
+    """The boundary of a hash chain: the fewest leading constraints whose
+    cell count is exact, given that the unconstrained cell saturates.
+
+    `probe(i)` counts the cell of the chain's first i constraints.  The
+    search gallops over 1, 2, 4, 8, ... (capped at `max_index`) until a
+    count is exact, then bisects between the deepest saturated length and
+    the shallowest exact one.  Counts never grow along a chain, so the
+    boundary is unique; an exact count below a deeper one means the oracle
+    is inconsistent.  Returns the boundary, its count and the number of
+    probes made.
+    """
+    low = 0  # deepest length known to saturate
+    high, count = None, None  # shallowest length known exact, and its count
+    probes = 0
+
+    def exact_at(i: int) -> bool:
+        nonlocal low, high, count, probes
+        found = probe(i)
+        probes += 1
+        if not found.is_exact:
+            low = i
+            return False
+        if count is not None and found.count < count.count:
+            raise InconsistentOracle(
+                "cell counts are not non-increasing along the chain: "
+                f"index {i} -> {found}, index {high} -> {count}"
             )
-            if bad:
-                raise InconsistentOracle(
-                    "cell counts are not non-increasing along the chain: "
-                    f"index {min(index, other)} -> {shallow}, "
-                    f"index {max(index, other)} -> {deep}"
-                )
-        self.entries[index] = count
+        high, count = i, found
+        return True
 
-    def get(self, index: int) -> SaturatingCount | None:
-        return self.entries.get(index)
-
-    def boundary(self) -> int | None:
-        """Smallest index whose count is exact right above a saturated one."""
-        for i in sorted(self.entries):
-            if not self.entries[i].is_exact:
-                continue
-            below = self.entries.get(i - 1)
-            if below is not None and not below.is_exact:
-                return i
-        return None
-
-    def truncated(self, index: int) -> "CellLedger":
-        """Copy keeping only entries strictly below index."""
-        out = CellLedger()
-        out.entries = {i: c for i, c in self.entries.items() if i < index}
-        return out
-
-
-def next_index(ledger: CellLedger, max_index: int) -> int:
-    """Next chain length to probe: double past the deepest saturated index
-    until an exact count caps the range, then bisect the gap."""
-    saturated = [i for i, c in ledger.entries.items() if not c.is_exact]
-    if not saturated:
-        raise ValueError("need a saturated count at index 0 before searching")
-    low = max(saturated)
-    exact_above = [
-        i for i, c in ledger.entries.items() if c.is_exact and i > low
-    ]
-    if exact_above:
-        high = min(exact_above)
-        if high - low <= 1:
-            raise ValueError(f"boundary already identified at index {high}")
-        return (low + high) // 2
-    return min(max(1, 2 * low), max_index)
+    step = 1
+    while not exact_at(min(step, max_index)):
+        if low >= max_index:
+            raise ExhaustedIndices(
+                f"cell still saturated with {low} constraints, more than the "
+                "projected domain supports; the oracle is inconsistent"
+            )
+        step *= 2
+    while high - low > 1:
+        exact_at((low + high) // 2)
+    return high, count, probes
 
 
 def max_hash_index(projection: ProjectionSet, family: Family, ell: int) -> int:
@@ -333,7 +325,6 @@ class RefinementOutcome(enum.Enum):
 @dataclass(frozen=True)
 class FixResult:
     outcome: RefinementOutcome
-    ledger: CellLedger
     stack: HashStack
     probes: int
     count: SaturatingCount
@@ -357,7 +348,7 @@ def _refinement_exponents(ell: int, exponent_halving: bool) -> list[int]:
 def fix_last_hash(
     oracle: Oracle,
     projection: ProjectionSet,
-    ledger: CellLedger,
+    count: SaturatingCount,
     stack: HashStack,
     index: int,
     family: Family,
@@ -370,7 +361,8 @@ def fix_last_hash(
     """Swap the boundary constraint for coarser draws while counts stay exact.
 
     Entered with the oracle holding the first `index` constraints, one per
-    frame.  For XOR nothing happens and the oracle is untouched; otherwise
+    frame, at the chain's boundary: `count` is the exact count of that cell,
+    and the cell of the first `index - 1` saturates.  For XOR nothing happens and the oracle is untouched; otherwise
     the last frame is popped, replacement candidates at decreasing range
     exponents are each tried in a scratch frame, and the oracle is left
     holding `index - 1` constraints.  The first saturating candidate stops
@@ -379,18 +371,12 @@ def fix_last_hash(
     the coarsest kept replacement.  `cache` is the count's model cache,
     whose chain is the stack's (see `saturating_count`).
     """
-    count = ledger.get(index)
-    below = ledger.get(index - 1)
-    if count is None or not count.is_exact:
-        raise ValueError(f"no exact count recorded at index {index}")
-    if below is None or below.is_exact:
-        raise ValueError(f"index {index - 1} must hold a saturated count")
+    if not count.is_exact:
+        raise ValueError(f"the count at boundary index {index} must be exact")
     if len(stack) < index or index < 1:
         raise ValueError(f"stack holds {len(stack)} constraints, need {index}")
     if family is Family.XOR:
-        return FixResult(
-            RefinementOutcome.UNCHANGED_XOR, ledger, _truncate(stack, index), 0, count
-        )
+        return FixResult(RefinementOutcome.UNCHANGED_XOR, _truncate(stack, index), 0, count)
     kept = stack.constraints[index - 1]
     kept_count = count
     outcome = RefinementOutcome.KEPT_ORIGINAL
@@ -417,9 +403,7 @@ def fix_last_hash(
     if exhausted:
         outcome = RefinementOutcome.EXHAUSTED
     new_stack = _truncate(stack, index).replace_last(kept)
-    new_ledger = ledger.truncated(index)
-    new_ledger.record(index, kept_count)
-    return FixResult(outcome, new_ledger, new_stack, probes, kept_count)
+    return FixResult(outcome, new_stack, probes, kept_count)
 
 
 @dataclass(frozen=True)
@@ -459,66 +443,47 @@ def _one_iteration(
     projection: ProjectionSet,
     consts: Constants,
     family: Family,
-    rng: random.Random,
+    streams: tuple[random.Random, random.Random],
     max_index: int,
     on_exhausted: str,
     exponent_halving: bool,
     cache: ModelCache,
 ) -> _IterationOutcome:
     entry_depth = oracle.depth
+    chain_rng, refine_rng = streams
     cache.start_chain()
-    try:
-        ledger = CellLedger()
-        ledger.record(0, SATURATED)
-        stack = HashStack()
-        depth = 0  # constraints currently on the oracle stack
-        probes = 0
-        while True:
-            target = next_index(ledger, max_index)
-            while len(stack) < target:
-                constraint = generate_hash(projection, consts.ell, family, rng)
-                stack = stack.extend(constraint)
-                cache.extend(constraint)
-            if target > depth:
-                for i in range(depth, target):
-                    oracle.push()
-                    oracle.assert_constraint(stack.constraints[i])
-            else:
-                for _ in range(depth - target):
-                    oracle.pop()
-            depth = target
-            count = saturating_count(oracle, projection, consts.thresh, cache, target)
-            probes += 1
-            ledger.record(target, count)
-            if count.is_exact:
-                below = ledger.get(target - 1)
-                if below is not None and not below.is_exact:
-                    index = target
-                    break
-            else:
-                above = ledger.get(target + 1)
-                if above is not None and above.is_exact:
-                    index = target + 1
-                    break
-                if target >= max_index:
-                    raise ExhaustedIndices(
-                        f"cell still saturated with {target} constraints, more "
-                        "than the projected domain supports; the oracle is "
-                        "inconsistent"
-                    )
-        if depth < index:  # boundary met from below: restore the full chain
+    stack = HashStack()
+    depth = 0  # constraints currently on the oracle stack, one per frame
+
+    def move_to(index: int) -> None:
+        nonlocal stack, depth
+        while len(stack) < index:
+            constraint = generate_hash(projection, consts.ell, family, chain_rng)
+            stack = stack.extend(constraint)
+            cache.extend(constraint)
+        for i in range(depth, index):
             oracle.push()
-            oracle.assert_constraint(stack.constraints[index - 1])
-            depth = index
+            oracle.assert_constraint(stack.constraints[i])
+        for _ in range(index, depth):
+            oracle.pop()
+        depth = index
+
+    def probe(index: int) -> SaturatingCount:
+        move_to(index)
+        return saturating_count(oracle, projection, consts.thresh, cache, index)
+
+    try:
+        index, count, probes = find_boundary(probe, max_index)
+        move_to(index)  # the last probe may have been the saturated cell above
         fixed = fix_last_hash(
             oracle,
             projection,
-            ledger,
+            count,
             stack,
             index,
             family,
             consts.thresh,
-            rng,
+            refine_rng,
             exponent_halving=exponent_halving,
             cache=cache,
         )
@@ -572,7 +537,6 @@ def pact_count(
     consts = get_constants(epsilon, delta, family, log_base)
     if seed is None:
         seed = random.SystemRandom().getrandbits(32)
-    rng = random.Random(seed)
     base_stats = oracle.stats.copy()
     cache = ModelCache(projection)
 
@@ -600,6 +564,7 @@ def pact_count(
     probe_counts: list[int] = []
     exhausted_refinements = 0
     discarded = 0
+    k = 0  # iteration attempts so far, discarded ones included
     for _ in range(consts.itercount):
         attempts = 0
         while True:
@@ -608,12 +573,13 @@ def pact_count(
                 projection,
                 consts,
                 family,
-                rng,
+                iteration_streams(seed, k),
                 max_index,
                 on_exhausted,
                 exponent_halving,
                 cache,
             )
+            k += 1
             if outcome.estimate is not None:
                 estimates.append(outcome.estimate)
                 probe_counts.append(outcome.probes)

@@ -170,11 +170,11 @@ def generate_hash(
     """Draw one constraint; a fresh target is sampled with every call."""
     if family is Family.XOR:
         slices = slice_projection(projection, 1)
-        coeffs = tuple(rng.getrandbits(1) for _ in slices)
+        mask = rng.getrandbits(len(slices))
         return HashConstraint(
             family=family,
             slices=slices,
-            coeffs=coeffs,
+            coeffs=tuple((mask >> i) & 1 for i in range(len(slices))),
             offset=None,
             range_size=2,
             target=rng.getrandbits(1),

@@ -8,21 +8,21 @@ import pytest
 
 from pact.counter import (
     SATURATED,
-    CellLedger,
     CounterFailed,
     ModelCache,
     RefinementOutcome,
     SaturatingCount,
     cell_estimate,
+    find_boundary,
     find_median,
     fix_last_hash,
     get_constants,
+    iteration_streams,
     max_hash_index,
-    next_index,
     pact_count,
     saturating_count,
 )
-from pact.errors import InconsistentOracle, InvalidParameters
+from pact.errors import ExhaustedIndices, InconsistentOracle, InvalidParameters
 from pact.hashing import Family, HashConstraint, HashStack, Slice, generate_hash
 from pact.oracle import InMemoryOracle
 from pact.smtlib import BlockingClause, ProjectionSet, SortedVar
@@ -174,55 +174,83 @@ class TestModelCache:
             saturating_count(oracle, p, 73, cache)
 
 
+def scan_chain(p, values, family, seed, k, thresh=73, ell=1):
+    """Cell counts of iteration k's keyed chain at every length up to the
+    deepest worth probing, one constraint at a time: the linear scan the
+    search must agree with."""
+    chain_rng, _ = iteration_streams(seed, k)
+    oracle = InMemoryOracle(p, values)
+    counts = [saturating_count(oracle, p, thresh)]
+    stack = HashStack()
+    for _ in range(max_hash_index(p, family, ell)):
+        c = generate_hash(p, ell, family, chain_rng)
+        stack = stack.extend(c)
+        oracle.push()
+        oracle.assert_constraint(c)
+        counts.append(saturating_count(oracle, p, thresh))
+    return counts, stack
+
+
+def first_exact(counts):
+    return next(i for i, c in enumerate(counts) if c.is_exact)
+
+
 class TestLedgerAndSearch:
-    def ledger_of(self, entries):
-        ledger = CellLedger()
-        for i, c in entries.items():
-            ledger.record(i, c)
-        return ledger
+    """`find_boundary` over scripted and real chains: where it probes, what
+    it returns, and the monotonicity guard on the counts it sees."""
+
+    @staticmethod
+    def search(boundary, max_index=100, exact=SaturatingCount.exact(3)):
+        seen = []
+
+        def probe(i):
+            seen.append(i)
+            return SATURATED if i < boundary else exact
+
+        return find_boundary(probe, max_index), seen
 
     def test_doubling_from_zero(self):
-        assert next_index(self.ledger_of({0: SATURATED}), 100) == 1
+        assert self.search(1) == ((1, SaturatingCount.exact(3), 1), [1])
 
     def test_doubling_continues(self):
-        entries = {0: SATURATED, 1: SATURATED, 2: SATURATED, 4: SATURATED}
-        assert next_index(self.ledger_of(entries), 100) == 8
+        (index, _, probes), seen = self.search(9)
+        assert seen == [1, 2, 4, 8, 16, 12, 10, 9]
+        assert (index, probes) == (9, 8)
 
     def test_bisection(self):
-        entries = {0: SATURATED, 8: SATURATED, 16: SaturatingCount.exact(3)}
-        assert next_index(self.ledger_of(entries), 100) == 12
+        (index, _, _), seen = self.search(12)
+        assert seen == [1, 2, 4, 8, 16, 12, 10, 11]
+        assert index == 12
 
     def test_clamped_by_max_index(self):
-        entries = {0: SATURATED, 1: SATURATED, 2: SATURATED, 4: SATURATED}
-        assert next_index(self.ledger_of(entries), 6) == 6
+        (index, _, _), seen = self.search(6, max_index=6)
+        assert seen == [1, 2, 4, 6, 5]
+        assert index == 6
 
-    def test_boundary_found_is_an_error(self):
-        entries = {0: SATURATED, 8: SATURATED, 9: SaturatingCount.exact(3)}
-        ledger = self.ledger_of(entries)
-        assert ledger.boundary() == 9
-        with pytest.raises(ValueError):
-            next_index(ledger, 100)
-
-    def test_no_saturated_entry_is_an_error(self):
-        ledger = self.ledger_of({1: SaturatingCount.exact(3)})
-        with pytest.raises(ValueError):
-            next_index(ledger, 100)
-
-    def test_monotonicity_enforced_upward(self):
-        ledger = self.ledger_of({2: SaturatingCount.exact(5)})
-        with pytest.raises(InconsistentOracle):
-            ledger.record(3, SATURATED)  # saturated below an exact entry
+    def test_saturated_at_max_index_is_exhausted(self):
+        with pytest.raises(ExhaustedIndices):
+            self.search(7, max_index=6)
 
     def test_monotonicity_enforced_on_counts(self):
-        ledger = self.ledger_of({2: SaturatingCount.exact(5)})
-        with pytest.raises(InconsistentOracle):
-            ledger.record(3, SaturatingCount.exact(9))
+        # 16 is exact at 5, then the shallower 12 claims fewer: inconsistent
+        counts = {16: SaturatingCount.exact(5), 12: SaturatingCount.exact(2)}
+        with pytest.raises(InconsistentOracle, match="not non-increasing"):
+            find_boundary(lambda i: counts.get(i, SATURATED), 100)
 
-    def test_truncated_drops_deep_entries(self):
-        ledger = self.ledger_of({0: SATURATED, 2: SaturatingCount.exact(4)})
-        cut = ledger.truncated(2)
-        assert cut.get(2) is None
-        assert cut.get(0) is SATURATED
+    @pytest.mark.parametrize("family, ell, n, width", [
+        (Family.XOR, 1, 3_000, 16),
+        (Family.PRIME, 4, 3_000, 16),
+        (Family.SHIFT, 4, 3_000, 16),
+    ])
+    def test_boundary_matches_linear_scan(self, family, ell, n, width):
+        p = proj(width)
+        values = random.Random(width).sample(range(2**width), n)
+        for k in range(3):
+            counts, _ = scan_chain(p, values, family, seed=4, k=k, ell=ell)
+            max_index = len(counts) - 1
+            index, count, _ = find_boundary(counts.__getitem__, max_index)
+            assert index == first_exact(counts)
+            assert count == counts[index]
 
 
 class TestMaxIndexAndEstimate:
@@ -268,7 +296,8 @@ class TestMedian:
 
 
 def prepared_boundary(n, width, family, seed, thresh=73, ell=4):
-    """Assert one constraint over a size-n set and record the (0, 1) boundary."""
+    """Assert one constraint over a size-n set: a boundary at index 1 when
+    its count is exact."""
     p = proj(width)
     oracle = InMemoryOracle(p, range(n))
     rng = random.Random(seed)
@@ -277,20 +306,17 @@ def prepared_boundary(n, width, family, seed, thresh=73, ell=4):
     oracle.push()
     oracle.assert_constraint(c)
     count = saturating_count(oracle, p, thresh)
-    ledger = CellLedger()
-    ledger.record(0, SATURATED)
-    ledger.record(1, count)
-    return oracle, p, ledger, stack, rng, count
+    return oracle, p, stack, rng, count
 
 
 class TestFixLastHash:
     def test_xor_is_untouched(self):
         # 100 solutions: one parity constraint leaves ~50, well under thresh
-        oracle, p, ledger, stack, rng, count = prepared_boundary(
+        oracle, p, stack, rng, count = prepared_boundary(
             100, 10, Family.XOR, seed=1, ell=1
         )
         assert count.is_exact
-        fixed = fix_last_hash(oracle, p, ledger, stack, 1, Family.XOR, 73, rng)
+        fixed = fix_last_hash(oracle, p, count, stack, 1, Family.XOR, 73, rng)
         assert fixed.outcome is RefinementOutcome.UNCHANGED_XOR
         assert fixed.probes == 0
         assert oracle.depth == 1  # caller owns the cleanup
@@ -300,11 +326,11 @@ class TestFixLastHash:
         # n=150: cells at p=17 average ~9, and every coarser candidate
         # (11, 5, 3) still lands far below thresh=73, so the refinement
         # runs out of exponents
-        oracle, p, ledger, stack, rng, count = prepared_boundary(
+        oracle, p, stack, rng, count = prepared_boundary(
             150, 10, Family.PRIME, seed=5
         )
         assert count.is_exact
-        fixed = fix_last_hash(oracle, p, ledger, stack, 1, Family.PRIME, 73, rng)
+        fixed = fix_last_hash(oracle, p, count, stack, 1, Family.PRIME, 73, rng)
         assert fixed.outcome is RefinementOutcome.EXHAUSTED
         assert fixed.probes == 3
         assert fixed.count.is_exact
@@ -315,12 +341,12 @@ class TestFixLastHash:
     def test_halving_keeps_original_when_candidate_saturates(self):
         # n=800: p=17 cells ~47 stay exact, but the halved exponent's p=5
         # cells (~160) saturate immediately, so the original stands
-        oracle, p, ledger, stack, rng, count = prepared_boundary(
+        oracle, p, stack, rng, count = prepared_boundary(
             800, 10, Family.PRIME, seed=2
         )
         assert count.is_exact
         fixed = fix_last_hash(
-            oracle, p, ledger, stack, 1, Family.PRIME, 73, rng, exponent_halving=True
+            oracle, p, count, stack, 1, Family.PRIME, 73, rng, exponent_halving=True
         )
         assert fixed.outcome is RefinementOutcome.KEPT_ORIGINAL
         assert fixed.probes == 1
@@ -329,13 +355,13 @@ class TestFixLastHash:
         assert oracle.depth == 0
 
     def test_precondition_checks(self):
-        oracle, p, ledger, stack, rng, count = prepared_boundary(
+        oracle, p, stack, rng, count = prepared_boundary(
             150, 10, Family.PRIME, seed=5
         )
-        bad = CellLedger()
-        bad.record(0, SATURATED)
         with pytest.raises(ValueError):
-            fix_last_hash(oracle, p, bad, stack, 1, Family.PRIME, 73, rng)
+            fix_last_hash(oracle, p, SATURATED, stack, 1, Family.PRIME, 73, rng)
+        with pytest.raises(ValueError):
+            fix_last_hash(oracle, p, count, stack, 2, Family.PRIME, 73, rng)
 
 
 class TestPactCount:
@@ -355,6 +381,18 @@ class TestPactCount:
         ]
         assert runs[0].estimate == runs[1].estimate
         assert runs[0].raw_estimates == runs[1].raw_estimates
+
+    def test_estimates_follow_the_keyed_chains(self):
+        # xor keeps each boundary constraint, so iteration k's estimate is
+        # fixed by its own chain: boundary count times cells, whatever the
+        # search probed in it or in the iterations before
+        n, p = 3_000, proj(16)
+        values = random.Random(1).sample(range(2**16), n)
+        result = pact_count(InMemoryOracle(p, values), p, seed=9)
+        for k, estimate in enumerate(result.raw_estimates[:5]):
+            counts, _ = scan_chain(p, values, Family.XOR, seed=9, k=k)
+            index = first_exact(counts)
+            assert estimate == counts[index].count * 2**index
 
     def test_seeds_differ(self):
         p = proj(10)
