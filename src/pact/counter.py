@@ -239,18 +239,23 @@ def iteration_streams(seed: int, k: int) -> tuple[random.Random, random.Random]:
 
 
 def find_boundary(
-    probe: Callable[[int], SaturatingCount], max_index: int
+    probe: Callable[[int], SaturatingCount], hint: int, max_index: int
 ) -> tuple[int, SaturatingCount, int]:
     """The boundary of a hash chain: the fewest leading constraints whose
     cell count is exact, given that the unconstrained cell saturates.
 
     `probe(i)` counts the cell of the chain's first i constraints.  The
-    search gallops over 1, 2, 4, 8, ... (capped at `max_index`) until a
-    count is exact, then bisects between the deepest saturated length and
-    the shallowest exact one.  Counts never grow along a chain, so the
-    boundary is unique; an exact count below a deeper one means the oracle
-    is inconsistent.  Returns the boundary, its count and the number of
-    probes made.
+    search probes `hint` first (clamped to [1, max_index]); from a saturated
+    cell it gallops up over hint+1, hint+3, hint+7, ... (capped at
+    `max_index`) until a count is exact, from an exact one down over
+    hint-1, hint-3, hint-7, ... until a cell saturates, and then bisects
+    between the deepest saturated length and the shallowest exact one.
+    `hint=1` gallops over 1, 2, 4, 8, ...  Counts never grow along a chain,
+    so the boundary is unique, whatever the hint; an exact count below a
+    deeper one means the oracle is inconsistent.  Returns the boundary, its
+    count and the number of probes made.  (ApproxMC2's LogSATSearch,
+    Chakraborty, Meel & Vardi, IJCAI'16, starts at the previous boundary
+    the same way.)
     """
     low = 0  # deepest length known to saturate
     high, count = None, None  # shallowest length known exact, and its count
@@ -271,14 +276,19 @@ def find_boundary(
         high, count = i, found
         return True
 
+    hint = min(max(hint, 1), max_index)
     step = 1
-    while not exact_at(min(step, max_index)):
-        if low >= max_index:
+    if exact_at(hint):
+        while hint - step > 0 and exact_at(hint - step):
+            step = 2 * step + 1
+    else:
+        while low < max_index and not exact_at(min(hint + step, max_index)):
+            step = 2 * step + 1
+        if high is None:
             raise ExhaustedIndices(
                 f"cell still saturated with {low} constraints, more than the "
                 "projected domain supports; the oracle is inconsistent"
             )
-        step *= 2
     while high - low > 1:
         exact_at((low + high) // 2)
     return high, count, probes
@@ -428,6 +438,7 @@ class _IterationOutcome:
     estimate: int | None  # None means the iteration was discarded
     probes: int
     exhausted: bool
+    boundary: int  # before refinement
 
 
 def _unwind(oracle: Oracle, entry_depth: int) -> None:
@@ -444,6 +455,7 @@ def _one_iteration(
     consts: Constants,
     family: Family,
     streams: tuple[random.Random, random.Random],
+    hint: int,
     max_index: int,
     on_exhausted: str,
     exponent_halving: bool,
@@ -473,7 +485,7 @@ def _one_iteration(
         return saturating_count(oracle, projection, consts.thresh, cache, index)
 
     try:
-        index, count, probes = find_boundary(probe, max_index)
+        index, count, probes = find_boundary(probe, hint, max_index)
         move_to(index)  # the last probe may have been the saturated cell above
         fixed = fix_last_hash(
             oracle,
@@ -496,11 +508,11 @@ def _one_iteration(
         if exhausted and on_exhausted == "discard":
             for _ in range(cleanup):
                 oracle.pop()
-            return _IterationOutcome(None, probes, True)
+            return _IterationOutcome(None, probes, True, index)
         estimate = cell_estimate(fixed.count, fixed.stack)
         for _ in range(cleanup):
             oracle.pop()
-        return _IterationOutcome(estimate, probes, exhausted)
+        return _IterationOutcome(estimate, probes, exhausted, index)
     except BaseException:
         _unwind(oracle, entry_depth)
         raise
@@ -565,6 +577,7 @@ def pact_count(
     exhausted_refinements = 0
     discarded = 0
     k = 0  # iteration attempts so far, discarded ones included
+    hint = 1  # where the next search starts: the last attempt's boundary
     for _ in range(consts.itercount):
         attempts = 0
         while True:
@@ -574,12 +587,14 @@ def pact_count(
                 consts,
                 family,
                 iteration_streams(seed, k),
+                hint,
                 max_index,
                 on_exhausted,
                 exponent_halving,
                 cache,
             )
             k += 1
+            hint = outcome.boundary
             if outcome.estimate is not None:
                 estimates.append(outcome.estimate)
                 probe_counts.append(outcome.probes)

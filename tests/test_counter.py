@@ -200,14 +200,14 @@ class TestLedgerAndSearch:
     it returns, and the monotonicity guard on the counts it sees."""
 
     @staticmethod
-    def search(boundary, max_index=100, exact=SaturatingCount.exact(3)):
+    def search(boundary, hint=1, max_index=100):
         seen = []
 
         def probe(i):
             seen.append(i)
-            return SATURATED if i < boundary else exact
+            return SATURATED if i < boundary else SaturatingCount.exact(3)
 
-        return find_boundary(probe, max_index), seen
+        return find_boundary(probe, hint, max_index), seen
 
     def test_doubling_from_zero(self):
         assert self.search(1) == ((1, SaturatingCount.exact(3), 1), [1])
@@ -230,12 +230,35 @@ class TestLedgerAndSearch:
     def test_saturated_at_max_index_is_exhausted(self):
         with pytest.raises(ExhaustedIndices):
             self.search(7, max_index=6)
+        with pytest.raises(ExhaustedIndices):
+            self.search(7, hint=6, max_index=6)
+
+    def test_gallops_up_from_a_saturated_hint(self):
+        (index, _, _), seen = self.search(30, hint=20)
+        assert seen == [20, 21, 23, 27, 35, 31, 29, 30]
+        assert index == 30
+
+    def test_gallops_down_from_an_exact_hint(self):
+        (index, _, probes), seen = self.search(3, hint=20)
+        assert seen == [20, 19, 17, 13, 5, 2, 3]
+        assert (index, probes) == (3, 7)
+
+    def test_hint_is_clamped(self):
+        assert self.search(1, hint=0)[1] == [1]
+        assert self.search(1, hint=-5)[1] == [1]
+        (index, _, _), seen = self.search(100, hint=500, max_index=100)
+        assert seen == [100, 99]
+        assert index == 100
 
     def test_monotonicity_enforced_on_counts(self):
         # 16 is exact at 5, then the shallower 12 claims fewer: inconsistent
         counts = {16: SaturatingCount.exact(5), 12: SaturatingCount.exact(2)}
         with pytest.raises(InconsistentOracle, match="not non-increasing"):
-            find_boundary(lambda i: counts.get(i, SATURATED), 100)
+            find_boundary(lambda i: counts.get(i, SATURATED), 1, 100)
+        # the same going down from a hint
+        counts = {9: SaturatingCount.exact(2), 8: SaturatingCount.exact(1)}
+        with pytest.raises(InconsistentOracle, match="not non-increasing"):
+            find_boundary(lambda i: counts.get(i, SATURATED), 9, 100)
 
     @pytest.mark.parametrize("family, ell, n, width", [
         (Family.XOR, 1, 3_000, 16),
@@ -248,9 +271,10 @@ class TestLedgerAndSearch:
         for k in range(3):
             counts, _ = scan_chain(p, values, family, seed=4, k=k, ell=ell)
             max_index = len(counts) - 1
-            index, count, _ = find_boundary(counts.__getitem__, max_index)
-            assert index == first_exact(counts)
-            assert count == counts[index]
+            boundary = first_exact(counts)
+            for hint in (1, boundary - 1, boundary, boundary + 1, max_index):
+                index, count, _ = find_boundary(counts.__getitem__, hint, max_index)
+                assert (index, count) == (boundary, counts[boundary])
 
 
 class TestMaxIndexAndEstimate:
