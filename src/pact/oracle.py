@@ -283,7 +283,8 @@ class InMemoryOracle(Oracle):
         columns = dict(zip(self._names, self._columns))
         if live.size < len(self._rows):  # else live is every row, in order
             columns = {name: col[live] for name, col in columns.items()}
-        return live[satisfied([constraint], columns)[0]]
+        # compress, not live[mask]: boolean indexing is about 4x slower here
+        return np.compress(satisfied([constraint], columns)[0], live)
 
 
 # ---------------------------------------------------------------------------
