@@ -86,10 +86,12 @@ class HashConstraint:
             return None
 
 
+@functools.lru_cache(maxsize=256)
 def slice_projection(projection: ProjectionSet, ell: int) -> tuple[Slice, ...]:
     """Cut each projection variable into ceil(w/ell) slices, low bits first.
 
     The final slice of a variable keeps its natural (narrower) width.
+    Memoized: every draw of a chain slices the same projection alike.
     """
     if ell < 1:
         raise ValueError(f"slice width must be >= 1, got {ell}")
