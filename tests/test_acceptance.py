@@ -5,6 +5,7 @@ Each test checks one shipping criterion and prints a single PASS/FAIL line
 assertions use these values and nothing looser.
 """
 
+import itertools
 import json
 import math
 import random
@@ -18,7 +19,7 @@ from pact.baseline import BaselineStatus, enumerate_count
 from pact.cli import BenchConfig, RunConfig, run_bench, run_count
 from pact.corpus import InstanceSpec, bench_preset, build, smoke_preset, write_corpus
 from pact.counter import SATURATED, get_constants, pact_count, saturating_count
-from pact.hashing import Family, HashConstraint, Slice, eval_hash
+from pact.hashing import Family, HashConstraint, Slice, _widened_width_shift, eval_hash
 from pact.oracle import InMemoryOracle, SubprocessOracle
 from pact.smtlib import ProjectionSet, SortedVar, parse_declarations, resolve_projection
 
@@ -51,6 +52,37 @@ def within(estimate, true_count, factor=TOLERANCE_FACTOR):
     return true_count / factor <= estimate <= true_count * factor
 
 
+SHIFT_SHAPES = (((2,), 1), ((2,), 2), ((3,), 2), ((1, 1), 1), ((2, 1), 2))
+
+
+def _shift_pair_misses(widths, ell):
+    """Input pairs on which the shift family, over every coefficient and
+    offset choice, misses some output pair or hits it unevenly.
+
+    The slices of `widths` cut one variable, low bits first.
+    """
+    total = sum(widths)
+    bounds = list(itertools.accumulate(widths, initial=0))
+    slices = tuple(Slice("x", total, lo, hi) for lo, hi in zip(bounds, bounds[1:]))
+    wbar = _widened_width_shift(slices, ell)
+    cells = 1 << ell
+    inputs = range(1 << total)
+    values = np.array([
+        [
+            eval_hash(HashConstraint(Family.SHIFT, slices, tuple(a), b, cells, 0, ell, wbar),
+                      {"x": x})
+            for x in inputs
+        ]
+        for *a, b in itertools.product(range(1 << wbar), repeat=len(slices) + 1)
+    ])
+    share = len(values) // cells**2
+    misses = 0
+    for x, y in itertools.permutations(inputs, 2):
+        hits = np.bincount(values[:, x] * cells + values[:, y], minlength=cells**2)
+        misses += not (hits == share).all()
+    return misses
+
+
 def test_criterion_1_hash_families_are_uniform():
     started = time.monotonic()
 
@@ -79,6 +111,10 @@ def test_criterion_1_hash_families_are_uniform():
                 misses += 1
     prime_ok = misses == 0
 
+    # shift family: exhaustively over all (a, b) at each slice shape, every
+    # pair of distinct inputs maps onto every output pair equally often
+    shift_ok = all(_shift_pair_misses(w, ell) == 0 for w, ell in SHIFT_SHAPES)
+
     # xor family: every nonzero 12-bit mask splits the full domain in half
     bits = 12
     domain = np.arange(2**bits, dtype=np.uint64)
@@ -105,8 +141,9 @@ def test_criterion_1_hash_families_are_uniform():
     elapsed = time.monotonic() - started
     _report(
         1,
-        prime_ok and xor_ok and agree and elapsed < BUDGET_HASH,
-        f"prime 1/25 uniform: {prime_ok}, xor balanced on {len(masks)} masks: "
+        prime_ok and shift_ok and xor_ok and agree and elapsed < BUDGET_HASH,
+        f"prime 1/25 uniform: {prime_ok}, shift uniform on {len(SHIFT_SHAPES)} slice "
+        f"shapes: {shift_ok}, xor balanced on {len(masks)} masks: "
         f"{xor_ok}, evaluator agreement: {agree}, {elapsed:.1f}s",
     )
 
