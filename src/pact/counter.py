@@ -1,14 +1,18 @@
 """Approximate projected counting via random hash partitions.
 
-One iteration drops hash constraints onto the assertion stack until a
-cell's saturating count falls below the threshold, gallops to the exact
-boundary index, optionally swaps the last constraint for a coarser one to
-land the count as close under the threshold as possible, and scales the
-cell count by the number of cells.  The reported estimate is the median
-over many such iterations, which boosts the per-iteration confidence to
-the requested level.  Every model the oracle returns is cached for the
-whole count, so a cell's known members are counted, and blocked, without
-asking the oracle for them again.
+One iteration draws a chain of hash constraints, from a random stream
+keyed by the seed and the iteration, and finds the chain's boundary: the
+fewest leading constraints whose cell's saturating count falls below the
+threshold.  The search starts at the previous iteration's boundary,
+gallops up or down from it and then bisects.  The iteration optionally
+swaps the boundary constraint for a coarser one to land the count as close
+under the threshold as possible, and scales the cell count by the number
+of cells.  The reported estimate is the median over many such iterations,
+which boosts the per-iteration confidence to the requested level.  The
+boundary of a chain does not depend on where its search started, so an
+estimate depends on the seed alone.  Every model the oracle returns is
+cached for the whole count, so a cell's known members are counted, and
+blocked, without asking the oracle for them again.
 """
 
 from __future__ import annotations
@@ -372,10 +376,10 @@ def fix_last_hash(
 
     Entered with the oracle holding the first `index` constraints, one per
     frame, at the chain's boundary: `count` is the exact count of that cell,
-    and the cell of the first `index - 1` saturates.  For XOR nothing happens and the oracle is untouched; otherwise
-    the last frame is popped, replacement candidates at decreasing range
-    exponents are each tried in a scratch frame, and the oracle is left
-    holding `index - 1` constraints.  The first saturating candidate stops
+    and the cell of the first `index - 1` saturates.  For XOR nothing
+    happens and the oracle is untouched; otherwise the last frame is popped,
+    replacement candidates at decreasing range exponents are each tried in a
+    scratch frame, and the oracle is left holding `index - 1` constraints.  The first saturating candidate stops
     the search and the previously kept constraint stands; running out of
     exponents with every candidate still exact reports EXHAUSTED, carrying
     the coarsest kept replacement.  `cache` is the count's model cache,
@@ -486,7 +490,7 @@ def _one_iteration(
 
     try:
         index, count, probes = find_boundary(probe, hint, max_index)
-        move_to(index)  # the last probe may have been the saturated cell above
+        move_to(index)  # the last probe may have counted the cell of index - 1
         fixed = fix_last_hash(
             oracle,
             projection,
