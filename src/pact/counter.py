@@ -374,16 +374,17 @@ def fix_last_hash(
 ) -> FixResult:
     """Swap the boundary constraint for coarser draws while counts stay exact.
 
-    Entered with the oracle holding the first `index` constraints, one per
-    frame, at the chain's boundary: `count` is the exact count of that cell,
-    and the cell of the first `index - 1` saturates.  For XOR nothing
-    happens and the oracle is untouched; otherwise the last frame is popped,
-    replacement candidates at decreasing range exponents are each tried in a
-    scratch frame, and the oracle is left holding `index - 1` constraints.  The first saturating candidate stops
-    the search and the previously kept constraint stands; running out of
-    exponents with every candidate still exact reports EXHAUSTED, carrying
-    the coarsest kept replacement.  `cache` is the count's model cache,
-    whose chain is the stack's (see `saturating_count`).
+    Entered at the chain's boundary `index`, with the oracle holding the
+    first `index - 1` constraints, one per frame: that cell saturates, and
+    `count` is the exact count of the cell the boundary constraint
+    `stack.constraints[index - 1]` cuts from it.  For XOR nothing happens;
+    otherwise replacement candidates at decreasing range exponents are each
+    tried in a scratch frame on top.  The oracle is left as it was found.
+    The first saturating candidate stops the search and the previously kept
+    constraint stands; running out of exponents with every candidate still
+    exact reports EXHAUSTED, carrying the coarsest kept replacement.
+    `cache` is the count's model cache, whose chain is the stack's (see
+    `saturating_count`).
     """
     if not count.is_exact:
         raise ValueError(f"the count at boundary index {index} must be exact")
@@ -395,7 +396,6 @@ def fix_last_hash(
     kept_count = count
     outcome = RefinementOutcome.KEPT_ORIGINAL
     probes = 0
-    oracle.pop()  # remove the original boundary constraint
     exponents = _refinement_exponents(kept.ell, exponent_halving)
     exhausted = bool(exponents)
     for ell_prime in exponents:
@@ -490,7 +490,7 @@ def _one_iteration(
 
     try:
         index, count, probes = find_boundary(probe, hint, max_index)
-        move_to(index)  # the last probe may have counted the cell of index - 1
+        move_to(index - 1)
         fixed = fix_last_hash(
             oracle,
             projection,
@@ -504,18 +504,11 @@ def _one_iteration(
             cache=cache,
         )
         probes += fixed.probes
-        if fixed.outcome is RefinementOutcome.UNCHANGED_XOR:
-            cleanup = index
-        else:
-            cleanup = index - 1
+        move_to(0)
         exhausted = fixed.outcome is RefinementOutcome.EXHAUSTED
         if exhausted and on_exhausted == "discard":
-            for _ in range(cleanup):
-                oracle.pop()
             return _IterationOutcome(None, probes, True, index)
         estimate = cell_estimate(fixed.count, fixed.stack)
-        for _ in range(cleanup):
-            oracle.pop()
         return _IterationOutcome(estimate, probes, exhausted, index)
     except BaseException:
         _unwind(oracle, entry_depth)

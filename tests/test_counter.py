@@ -320,8 +320,8 @@ class TestMedian:
 
 
 def prepared_boundary(n, width, family, seed, thresh=73, ell=4):
-    """Assert one constraint over a size-n set: a boundary at index 1 when
-    its count is exact."""
+    """Count the cell of one constraint over a size-n set, and take the
+    constraint off again: a boundary at index 1 when its count is exact."""
     p = proj(width)
     oracle = InMemoryOracle(p, range(n))
     rng = random.Random(seed)
@@ -330,6 +330,7 @@ def prepared_boundary(n, width, family, seed, thresh=73, ell=4):
     oracle.push()
     oracle.assert_constraint(c)
     count = saturating_count(oracle, p, thresh)
+    oracle.pop()
     return oracle, p, stack, rng, count
 
 
@@ -343,7 +344,7 @@ class TestFixLastHash:
         fixed = fix_last_hash(oracle, p, count, stack, 1, Family.XOR, 73, rng)
         assert fixed.outcome is RefinementOutcome.UNCHANGED_XOR
         assert fixed.probes == 0
-        assert oracle.depth == 1  # caller owns the cleanup
+        assert oracle.depth == 0
         assert fixed.count == count
 
     def test_prime_exhausts_and_keeps_coarsest(self):
