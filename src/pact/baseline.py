@@ -1,9 +1,10 @@
 """Exact projected counting by enumerate-and-block.
 
-The reference point the approximate counter is measured against: ask for a
-model, block it, repeat until unsat.  An optional cap and deadline keep it
-from churning forever on large solution sets; a capped or timed-out result
-means the true count is at least the partial one.
+The reference point the approximate counter is measured against: the
+oracle's own `count_upto` loop with no cap, asking for a model and blocking
+it until unsat.  The oracle's deadline keeps it from churning forever on
+large solution sets; a timed-out result means the true count is at least
+the partial one.
 """
 
 from __future__ import annotations
@@ -12,68 +13,39 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import OracleTimeout, SolverUnknown
-from .oracle import Oracle, QueryStats, SolverResult
-from .smtlib import BlockingClause, ProjectionSet
+from .errors import OracleTimeout
+from .oracle import Oracle, QueryStats
+from .smtlib import ProjectionSet
 
 
 class BaselineStatus(Enum):
     EXACT = "exact"
-    CAPPED = "capped"
     TIMED_OUT = "timed-out"
 
 
 @dataclass(frozen=True)
 class BaselineResult:
     status: BaselineStatus
-    count: int  # exact, or a lower bound when capped / timed out
+    count: int  # exact, or a lower bound when timed out
     wall_time: float
     stats: QueryStats
 
 
-def enumerate_count(
-    oracle: Oracle,
-    projection: ProjectionSet,
-    *,
-    cap: int | None = None,
-    deadline: float | None = None,
-) -> BaselineResult:
-    """Count projected models exactly, stopping at cap or deadline.
+def enumerate_count(oracle: Oracle, projection: ProjectionSet) -> BaselineResult:
+    """Count projected models exactly, stopping at `oracle.deadline`.
 
-    `deadline` is an absolute time.monotonic() value.  The enumeration runs
-    inside its own frame, so the oracle comes back untouched.
+    The enumeration runs inside its own frame, so the oracle comes back
+    untouched.
     """
     t0 = time.perf_counter()
     base_stats = oracle.stats.copy()
-
-    def done(status: BaselineStatus, n: int) -> BaselineResult:
-        return BaselineResult(
-            status=status,
-            count=n,
-            wall_time=time.perf_counter() - t0,
-            stats=oracle.stats.minus(base_stats),
-        )
-
-    oracle.push()
     try:
-        n = 0
-        while True:
-            if deadline is not None and time.monotonic() >= deadline:
-                return done(BaselineStatus.TIMED_OUT, n)
-            try:
-                result = oracle.check_sat()
-            except OracleTimeout:
-                return done(BaselineStatus.TIMED_OUT, n)
-            if result is SolverResult.UNSAT:
-                return done(BaselineStatus.EXACT, n)
-            if result is SolverResult.UNKNOWN:
-                raise SolverUnknown("solver answered unknown during enumeration")
-            if result is SolverResult.TIMEOUT:
-                return done(BaselineStatus.TIMED_OUT, n)
-            model = oracle.get_projected_model(projection)
-            n += 1
-            if cap is not None and n >= cap:
-                return done(BaselineStatus.CAPPED, n)
-            oracle.assert_constraint(BlockingClause.from_model(projection, model))
-    finally:
-        oracle.pop()
+        status, n = BaselineStatus.EXACT, oracle.count_upto(projection)
+    except OracleTimeout as exc:
+        status, n = BaselineStatus.TIMED_OUT, exc.count
+    return BaselineResult(
+        status=status,
+        count=n,
+        wall_time=time.perf_counter() - t0,
+        stats=oracle.stats.minus(base_stats),
+    )

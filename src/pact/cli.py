@@ -3,8 +3,11 @@
 Four subcommands: `count` runs the approximate counter on one script,
 `baseline` enumerates it exactly, `bench` sweeps a generated corpus and
 writes records plus cactus/accuracy tables, and `corpus` generates the
-instances the bench consumes.  Results are emitted as one JSON record per
-run so downstream tooling never parses log text.
+instances the bench consumes.  `count` and `baseline` share one run path,
+which reads the script, opens the oracle under the run's deadline and
+turns errors into records; they differ only in what they run on the
+oracle.  Results are emitted as one JSON record per run so downstream
+tooling never parses log text.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import threading
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import corpus
@@ -106,15 +109,6 @@ def _projection_for(config: RunConfig, script: SmtScript):
     )
 
 
-def _solver_oracle(config: RunConfig, text: str, deadline: float) -> SubprocessOracle:
-    return SubprocessOracle(
-        config.solver_cmd,  # None falls through to the environment/default
-        text,
-        query_timeout=config.timeout,
-        deadline=deadline,
-    )
-
-
 def _record(config: RunConfig, status: str, count, seed, stats, started, detail=""):
     return ResultRecord(
         instance=config.input,
@@ -131,74 +125,70 @@ def _record(config: RunConfig, status: str, count, seed, stats, started, detail=
     )
 
 
+def _count(config: RunConfig, oracle, projection):
+    result = pact_count(
+        oracle,
+        projection,
+        epsilon=config.epsilon,
+        delta=config.delta,
+        family=Family[config.family.upper()],
+        seed=config.seed,
+    )
+    return "ok", result.estimate, result.seed, result.stats, ""
+
+
+def _baseline(config: RunConfig, oracle, projection):
+    result = enumerate_count(oracle, projection)
+    if result.status is BaselineStatus.TIMED_OUT:
+        detail = "partial count, enumeration hit the time budget"
+        return "timeout", result.count, None, result.stats, detail
+    return "ok", result.count, None, result.stats, ""
+
+
+_EXIT_CODES = {"ok": EXIT_OK, "timeout": EXIT_TIMEOUT, "error": EXIT_ERROR}
+
+
+def _run(config: RunConfig, oracle_factory, measure) -> tuple[ResultRecord, int]:
+    """The run path of `count` and `baseline`: read and parse the script,
+    resolve the projection, open the oracle with the run's deadline on it,
+    and let `measure(config, oracle, projection)` give the record's
+    (status, count, seed, stats, detail).  A pact error, a bad value or an
+    unreadable file ends as a timeout or error record."""
+    started = time.monotonic()
+    deadline = started + config.timeout
+    try:
+        text = Path(config.input).read_text()
+        script = parse_declarations(text)
+        projection = _projection_for(config, script)
+        if oracle_factory is None:
+            oracle = SubprocessOracle(
+                config.solver_cmd,  # None falls through to the environment/default
+                text,
+                query_timeout=config.timeout,
+                deadline=deadline,  # loading the script counts against it too
+            )
+        else:
+            oracle = oracle_factory(script, projection)
+        oracle.deadline = deadline
+        with oracle:
+            status, count, seed, stats, detail = measure(config, oracle, projection)
+    except (OSError, PactError, ValueError) as exc:
+        status = "timeout" if isinstance(exc, OracleTimeout) else "error"
+        count, seed, stats, detail = None, config.seed, None, str(exc)
+    record = _record(config, status, count, seed, stats, started, detail)
+    return record, _EXIT_CODES[status]
+
+
 def run_count(config: RunConfig, oracle_factory=None) -> tuple[ResultRecord, int]:
     """Approximate count of one script.  `oracle_factory(script, projection)`
     overrides solver spawning, which keeps tests and the memory backend
     hermetic."""
-    started = time.monotonic()
-    deadline = started + config.timeout
-    try:
-        text = Path(config.input).read_text()
-        script = parse_declarations(text)
-        projection = _projection_for(config, script)
-        if oracle_factory is None:
-            oracle = _solver_oracle(config, text, deadline)
-        else:
-            oracle = oracle_factory(script, projection)
-            oracle.deadline = deadline
-        with oracle:
-            result = pact_count(
-                oracle,
-                projection,
-                epsilon=config.epsilon,
-                delta=config.delta,
-                family=Family[config.family.upper()],
-                seed=config.seed,
-            )
-        record = _record(
-            config, "ok", result.estimate, result.seed, result.stats, started
-        )
-        return record, EXIT_OK
-    except (OSError, PactError, ValueError) as exc:
-        status = "timeout" if _is_timeout(exc) else "error"
-        code = EXIT_TIMEOUT if status == "timeout" else EXIT_ERROR
-        record = _record(
-            config, status, None, config.seed, None, started, detail=str(exc)
-        )
-        return record, code
+    return _run(config, oracle_factory, _count)
 
 
 def run_baseline(config: RunConfig, oracle_factory=None) -> tuple[ResultRecord, int]:
     """Exact enumeration of one script; a partial count on timeout."""
-    started = time.monotonic()
-    deadline = started + config.timeout
-    try:
-        text = Path(config.input).read_text()
-        script = parse_declarations(text)
-        projection = _projection_for(config, script)
-        if oracle_factory is None:
-            oracle = _solver_oracle(config, text, deadline)
-        else:
-            oracle = oracle_factory(script, projection)
-        with oracle:
-            result = enumerate_count(oracle, projection, deadline=deadline)
-        if result.status is BaselineStatus.TIMED_OUT:
-            record = _record(
-                config, "timeout", result.count, None, result.stats, started,
-                detail="partial count, enumeration hit the time budget",
-            )
-            return record, EXIT_TIMEOUT
-        record = _record(config, "ok", result.count, None, result.stats, started)
-        return record, EXIT_OK
-    except (OSError, PactError, ValueError) as exc:
-        status = "timeout" if _is_timeout(exc) else "error"
-        code = EXIT_TIMEOUT if status == "timeout" else EXIT_ERROR
-        record = _record(config, status, None, None, None, started, detail=str(exc))
-        return record, code
-
-
-def _is_timeout(exc: BaseException) -> bool:
-    return isinstance(exc, OracleTimeout)
+    return _run(config, oracle_factory, _baseline)
 
 
 @dataclass(frozen=True)
@@ -379,49 +369,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_from(cls, args: argparse.Namespace, **extra):
+    """A RunConfig or BenchConfig from the parsed options it has fields for."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{k: v for k, v in vars(args).items() if k in names}, **extra)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "count":
-        config = RunConfig(
-            mode="count",
-            input=args.input,
-            project=args.project,
-            epsilon=args.epsilon,
-            delta=args.delta,
-            family=args.family,
-            seed=args.seed,
-            solver_cmd=args.solver_cmd,
-            timeout=args.timeout,
-            out=args.out,
-        )
-        record, code = run_count(config)
-        _emit(record, args.out)
-        return code
-    if args.command == "baseline":
-        config = RunConfig(
-            mode="baseline",
-            input=args.input,
-            project=args.project,
-            solver_cmd=args.solver_cmd,
-            timeout=args.timeout,
-            out=args.out,
-        )
-        record, code = run_baseline(config)
+    if args.command in ("count", "baseline"):
+        run = run_count if args.command == "count" else run_baseline
+        record, code = run(_config_from(RunConfig, args, mode=args.command))
         _emit(record, args.out)
         return code
     if args.command == "bench":
-        config = BenchConfig(
-            manifest=args.manifest,
-            out=args.out,
-            backend=args.backend,
-            epsilon=args.epsilon,
-            delta=args.delta,
-            family=args.family,
-            seed=args.seed,
-            solver_cmd=args.solver_cmd,
-            timeout=args.timeout,
-            jobs=args.jobs,
-        )
+        config = _config_from(BenchConfig, args)
         rows, code = run_bench(
             config,
             progress=lambda row: print(

@@ -26,14 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    CounterFailed,
-    ExhaustedIndices,
-    InconsistentOracle,
-    InvalidParameters,
-    OracleTimeout,
-    PactError,
-)
+from .errors import ExhaustedIndices, InconsistentOracle, InvalidParameters, OracleTimeout
 from .hashing import (
     Family,
     HashConstraint,
@@ -74,21 +67,17 @@ class Constants:
     ell: int
 
 
-def get_constants(
-    epsilon: float, delta: float, family: Family, log_base: float = 2.0
-) -> Constants:
+def get_constants(epsilon: float, delta: float, family: Family) -> Constants:
     """Threshold, iteration count, and range exponent for the guarantee."""
     if epsilon <= 0:
         raise InvalidParameters(f"epsilon must be positive, got {epsilon}")
     if not 0 < delta < 1:
         raise InvalidParameters(f"delta must be in (0, 1), got {delta}")
-    if log_base <= 1:
-        raise InvalidParameters(f"log base must exceed 1, got {log_base}")
     thresh = math.ceil(
         1 + 9.84 * (1 + epsilon / (1 + epsilon)) * (1 + 1 / epsilon) ** 2
     )
     multiplier = 17 if family is Family.XOR else 23
-    itercount = math.ceil(multiplier * math.log(3 / delta, log_base))
+    itercount = math.ceil(multiplier * math.log(3 / delta, 2))
     ell = 1 if family is Family.XOR else 4
     return Constants(thresh=thresh, itercount=itercount, ell=ell)
 
@@ -229,7 +218,7 @@ def saturating_count(
 
 
 def iteration_streams(seed: int, k: int) -> tuple[random.Random, random.Random]:
-    """The random streams of a count's k-th iteration attempt: one for its
+    """The random streams of a count's k-th iteration: one for its
     hash chain, drawn in chain order, and one for its refinement candidates.
 
     They depend on the seed and k alone, so the chain constraint at each
@@ -348,17 +337,6 @@ def _truncate(stack: HashStack, length: int) -> HashStack:
     return HashStack(stack.constraints[:length], stack.cumulative_ranges[: length + 1])
 
 
-def _refinement_exponents(ell: int, exponent_halving: bool) -> list[int]:
-    if exponent_halving:
-        out = []
-        e = ell // 2
-        while e >= 1:
-            out.append(e)
-            e //= 2
-        return out
-    return list(range(ell - 1, 0, -1))
-
-
 def fix_last_hash(
     oracle: Oracle,
     projection: ProjectionSet,
@@ -369,7 +347,6 @@ def fix_last_hash(
     thresh: int,
     rng: random.Random,
     *,
-    exponent_halving: bool = False,
     cache: ModelCache | None = None,
 ) -> FixResult:
     """Swap the boundary constraint for coarser draws while counts stay exact.
@@ -379,7 +356,8 @@ def fix_last_hash(
     `count` is the exact count of the cell the boundary constraint
     `stack.constraints[index - 1]` cuts from it.  For XOR nothing happens;
     otherwise replacement candidates at decreasing range exponents are each
-    tried in a scratch frame on top.  The oracle is left as it was found.
+    tried in a scratch frame on top.  The oracle is left as it was found,
+    unless an error is raised: then the caller unwinds it (`Oracle.unwind`).
     The first saturating candidate stops the search and the previously kept
     constraint stands; running out of exponents with every candidate still
     exact reports EXHAUSTED, carrying the coarsest kept replacement.
@@ -396,18 +374,16 @@ def fix_last_hash(
     kept_count = count
     outcome = RefinementOutcome.KEPT_ORIGINAL
     probes = 0
-    exponents = _refinement_exponents(kept.ell, exponent_halving)
+    exponents = range(kept.ell - 1, 0, -1)
     exhausted = bool(exponents)
     for ell_prime in exponents:
         candidate = generate_hash(projection, ell_prime, family, rng)
         oracle.push()
         oracle.assert_constraint(candidate)
-        try:
-            candidate_count = saturating_count(
-                oracle, projection, thresh, cache, index - 1, candidate
-            )
-        finally:
-            oracle.pop()
+        candidate_count = saturating_count(
+            oracle, projection, thresh, cache, index - 1, candidate
+        )
+        oracle.pop()
         probes += 1
         if not candidate_count.is_exact:
             exhausted = False
@@ -432,25 +408,16 @@ class CountResult:
     early_exit: bool
     probe_counts: tuple[int, ...]
     exhausted_refinements: int
-    discarded_attempts: int
     stats: QueryStats
     wall_time: float
 
 
 @dataclass(frozen=True)
 class _IterationOutcome:
-    estimate: int | None  # None means the iteration was discarded
+    estimate: int
     probes: int
     exhausted: bool
     boundary: int  # before refinement
-
-
-def _unwind(oracle: Oracle, entry_depth: int) -> None:
-    try:
-        while oracle.depth > entry_depth:
-            oracle.pop()
-    except PactError:
-        pass  # a dead solver can't be unwound; the original error matters more
 
 
 def _one_iteration(
@@ -461,8 +428,6 @@ def _one_iteration(
     streams: tuple[random.Random, random.Random],
     hint: int,
     max_index: int,
-    on_exhausted: str,
-    exponent_halving: bool,
     cache: ModelCache,
 ) -> _IterationOutcome:
     entry_depth = oracle.depth
@@ -500,19 +465,18 @@ def _one_iteration(
             family,
             consts.thresh,
             refine_rng,
-            exponent_halving=exponent_halving,
             cache=cache,
         )
-        probes += fixed.probes
         move_to(0)
-        exhausted = fixed.outcome is RefinementOutcome.EXHAUSTED
-        if exhausted and on_exhausted == "discard":
-            return _IterationOutcome(None, probes, True, index)
-        estimate = cell_estimate(fixed.count, fixed.stack)
-        return _IterationOutcome(estimate, probes, exhausted, index)
     except BaseException:
-        _unwind(oracle, entry_depth)
+        oracle.unwind(entry_depth)
         raise
+    return _IterationOutcome(
+        cell_estimate(fixed.count, fixed.stack),
+        probes + fixed.probes,
+        fixed.outcome is RefinementOutcome.EXHAUSTED,
+        index,
+    )
 
 
 def pact_count(
@@ -523,27 +487,16 @@ def pact_count(
     delta: float = 0.2,
     family: Family = Family.XOR,
     seed: int | None = None,
-    log_base: float = 2.0,
-    exponent_halving: bool = False,
-    on_exhausted: str = "keep",
-    retry_budget: int = 3,
 ) -> CountResult:
     """Estimate the projected model count within a factor of 1 + epsilon,
     with confidence at least 1 - delta.
-
-    `on_exhausted` picks what happens when the refinement runs out of
-    coarser exponents with every candidate still exact: "keep" (default)
-    uses the coarsest kept replacement, "discard" throws the iteration away
-    and redraws, giving up after `retry_budget` consecutive discards.
     """
     t0 = time.perf_counter()
     if len(projection) == 0:
         raise InvalidParameters("projection set is empty")
-    if on_exhausted not in ("keep", "discard"):
-        raise InvalidParameters(f"on_exhausted must be keep or discard, got {on_exhausted!r}")
     if oracle.depth != 0:
         raise InvalidParameters(f"oracle must start at depth 0, is at {oracle.depth}")
-    consts = get_constants(epsilon, delta, family, log_base)
+    consts = get_constants(epsilon, delta, family)
     if seed is None:
         seed = random.SystemRandom().getrandbits(32)
     base_stats = oracle.stats.copy()
@@ -563,7 +516,6 @@ def pact_count(
             early_exit=True,
             probe_counts=(),
             exhausted_refinements=0,
-            discarded_attempts=0,
             stats=oracle.stats.minus(base_stats),
             wall_time=time.perf_counter() - t0,
         )
@@ -572,38 +524,22 @@ def pact_count(
     estimates: list[int] = []
     probe_counts: list[int] = []
     exhausted_refinements = 0
-    discarded = 0
-    k = 0  # iteration attempts so far, discarded ones included
-    hint = 1  # where the next search starts: the last attempt's boundary
-    for _ in range(consts.itercount):
-        attempts = 0
-        while True:
-            outcome = _one_iteration(
-                oracle,
-                projection,
-                consts,
-                family,
-                iteration_streams(seed, k),
-                hint,
-                max_index,
-                on_exhausted,
-                exponent_halving,
-                cache,
-            )
-            k += 1
-            hint = outcome.boundary
-            if outcome.estimate is not None:
-                estimates.append(outcome.estimate)
-                probe_counts.append(outcome.probes)
-                exhausted_refinements += int(outcome.exhausted)
-                break
-            discarded += 1
-            attempts += 1
-            if attempts > retry_budget:
-                raise CounterFailed(
-                    f"{attempts} refinement attempts in a row exhausted every "
-                    "coarser exponent; rerun with on_exhausted='keep'"
-                )
+    hint = 1  # where the next search starts: the last iteration's boundary
+    for k in range(consts.itercount):
+        outcome = _one_iteration(
+            oracle,
+            projection,
+            consts,
+            family,
+            iteration_streams(seed, k),
+            hint,
+            max_index,
+            cache,
+        )
+        hint = outcome.boundary
+        estimates.append(outcome.estimate)
+        probe_counts.append(outcome.probes)
+        exhausted_refinements += int(outcome.exhausted)
     return CountResult(
         estimate=find_median(estimates),
         raw_estimates=tuple(estimates),
@@ -615,7 +551,6 @@ def pact_count(
         early_exit=False,
         probe_counts=tuple(probe_counts),
         exhausted_refinements=exhausted_refinements,
-        discarded_attempts=discarded,
         stats=oracle.stats.minus(base_stats),
         wall_time=time.perf_counter() - t0,
     )

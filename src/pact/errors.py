@@ -44,7 +44,12 @@ class SolverUnknown(PactError):
 
 
 class OracleTimeout(PactError):
-    """A query exceeded its wall-clock budget; the counting run is aborted."""
+    """A query exceeded its wall-clock budget; the counting run is aborted.
+
+    `count` is set by `Oracle.count_upto`: the models it had counted when
+    the budget ran out, a lower bound on the cell's count."""
+
+    count: int | None = None
 
 
 class StackUnderflow(PactError):
@@ -58,7 +63,3 @@ class ExhaustedIndices(PactError):
 class InconsistentOracle(PactError):
     """The oracle returned a model outside the cell or one it had returned before,
     or its cell counts grew along a hash chain or changed on a re-probe."""
-
-
-class CounterFailed(PactError):
-    """An iteration could not be completed within its retry budget."""

@@ -31,10 +31,6 @@ class Family(enum.Enum):
     PRIME = "prime"
     SHIFT = "shift"
 
-    @classmethod
-    def from_string(cls, name: str) -> "Family":
-        return cls(name.lower())
-
     def __str__(self) -> str:
         return self.value
 

@@ -21,13 +21,14 @@ import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
     MalformedScript,
     OracleTimeout,
+    PactError,
     ProtocolError,
     SolverCrashed,
     SolverUnknown,
@@ -106,27 +107,32 @@ class Oracle(ABC):
     def count_upto(
         self,
         projection: ProjectionSet,
-        thresh: int,
+        thresh: int | None = None,
         known: BlockingClause | None = None,
         fetched: list | None = None,
     ) -> int:
-        """Models of the current frame, up to thresh: enumerate-and-block
-        inside a scratch frame, so the blocking clauses go with it.
+        """Models of the current frame, up to thresh (None: no cap), by
+        enumerate-and-block inside a scratch frame, so the blocking clauses
+        go with it.
 
         `known` names models already known to lie in the frame: they are
         counted and blocked with that one assertion before enumerating the
-        rest.  Each model the solver returns is appended to `fetched`.
+        rest.  Each model the solver returns is appended to `fetched`.  A
+        spent `deadline` is checked before every check-sat; an
+        `OracleTimeout` carries the models counted so far as its `count`.
         """
-        self.push()
+        entry_depth, n = self.depth, 0
         try:
-            n = 0
+            self.push()
             if known is not None:
                 self.assert_constraint(known)
                 n = len(known)
-            while n < thresh:
+            while thresh is None or n < thresh:
+                if self.deadline is not None and time.monotonic() >= self.deadline:
+                    raise OracleTimeout("time budget spent while counting a cell")
                 result = self.check_sat()
                 if result is SolverResult.UNSAT:
-                    return n
+                    break
                 if result is SolverResult.UNKNOWN:
                     raise SolverUnknown(
                         "solver answered unknown while counting a cell; "
@@ -138,11 +144,25 @@ class Oracle(ABC):
                 if fetched is not None:
                     fetched.append(model)
                 n += 1
-                if n < thresh:
+                if thresh is None or n < thresh:
                     self.assert_constraint(BlockingClause.from_model(projection, model))
-            return n
-        finally:
-            self.pop()
+        except BaseException as exc:
+            if isinstance(exc, OracleTimeout):
+                exc.count = n
+            self.unwind(entry_depth)
+            raise
+        self.pop()
+        return n
+
+    def unwind(self, depth: int) -> None:
+        """Pop down to `depth` on the way out of an error.  A pop that fails
+        there (a dead solver cannot pop) is dropped: the error being
+        unwound matters more."""
+        try:
+            while self.depth > depth:
+                self.pop()
+        except PactError:
+            pass
 
     def close(self) -> None:
         pass

@@ -22,7 +22,7 @@ from pact.cli import (
 )
 from pact.corpus import InstanceSpec, build, write_corpus
 from pact.hashing import HashConstraint
-from pact.oracle import InMemoryOracle
+from pact.oracle import InMemoryOracle, SubprocessOracle
 
 MINISOLVE_CMD = f"{sys.executable} -m pact.minisolve"
 
@@ -195,6 +195,47 @@ class TestRunBaseline:
         assert code == EXIT_TIMEOUT
         assert record.status == "timeout"
         assert record.count == 0
+
+
+class TestSolverHang:
+    """A solver that stalls past the run's deadline ends every runner as a
+    timeout with exit 2, whatever the dead session does to the unwinding."""
+
+    @pytest.mark.parametrize("runner", ["count", "baseline", "bench"])
+    def test_hang_after_the_third_model_is_a_timeout(self, tmp_path, monkeypatch, runner):
+        flag = tmp_path / "hang"
+        cmd = f"{MINISOLVE_CMD} --hang-flag-file {flag} --hang-seconds 60"
+
+        class HangsAfterThirdModel(SubprocessOracle):
+            models = 0
+
+            def get_projected_model(self, projection):
+                model = super().get_projected_model(projection)
+                self.models += 1
+                if self.models == 3:
+                    flag.touch()  # the next check-sat stalls
+                return model
+
+        inst, script = write_instance(tmp_path, InstanceSpec("inst", "interval", 8, 20, seed=1))
+        timeout = 5.0
+        if runner == "bench":
+            monkeypatch.setattr(cli, "SubprocessOracle", HangsAfterThirdModel)
+            manifest = write_corpus([inst], tmp_path / "corpus")
+            config = BenchConfig(
+                str(manifest), str(tmp_path / "bench"), backend="solver",
+                solver_cmd=cmd, timeout=timeout, seed=1,
+            )
+            rows, code = run_bench(config)
+            record = rows[0].record
+        else:
+            run = run_count if runner == "count" else run_baseline
+            config = RunConfig(runner, str(script), seed=1, timeout=timeout)
+            factory = lambda script, projection: HangsAfterThirdModel(cmd, script)
+            record, code = run(config, factory)
+        assert (record.status, code) == ("timeout", EXIT_TIMEOUT), record.detail
+        if runner == "baseline":
+            assert record.count == 3
+            assert record.check_sat_calls > 0
 
 
 class TestBench:

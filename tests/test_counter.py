@@ -8,7 +8,6 @@ import pytest
 
 from pact.counter import (
     SATURATED,
-    CounterFailed,
     ModelCache,
     RefinementOutcome,
     SaturatingCount,
@@ -50,18 +49,10 @@ class TestConstants:
     def test_frozen_eps_one(self):
         assert get_constants(1.0, 0.2, Family.SHIFT).thresh == 61
 
-    def test_natural_log_base(self):
-        # ln(15) = 2.708...: 17x -> 46.04 -> 47, 23x -> 62.29 -> 63
-        assert get_constants(0.8, 0.2, Family.XOR, log_base=math.e).itercount == 47
-        assert get_constants(0.8, 0.2, Family.SHIFT, log_base=math.e).itercount == 63
-
-    @pytest.mark.parametrize(
-        "eps,delta,base",
-        [(0, 0.2, 2.0), (-1, 0.2, 2.0), (0.8, 0, 2.0), (0.8, 1.0, 2.0), (0.8, 0.2, 1.0)],
-    )
-    def test_invalid_parameters(self, eps, delta, base):
+    @pytest.mark.parametrize("eps,delta", [(0, 0.2), (-1, 0.2), (0.8, 0), (0.8, 1.0)])
+    def test_invalid_parameters(self, eps, delta):
         with pytest.raises(InvalidParameters):
-            get_constants(eps, delta, Family.XOR, log_base=base)
+            get_constants(eps, delta, Family.XOR)
 
 
 class TestSaturatingCount:
@@ -363,22 +354,6 @@ class TestFixLastHash:
         assert fixed.stack.constraints[0].range_size == 3  # coarsest prime kept
         assert oracle.depth == 0
 
-    def test_halving_keeps_original_when_candidate_saturates(self):
-        # n=800: p=17 cells ~47 stay exact, but the halved exponent's p=5
-        # cells (~160) saturate immediately, so the original stands
-        oracle, p, stack, rng, count = prepared_boundary(
-            800, 10, Family.PRIME, seed=2
-        )
-        assert count.is_exact
-        fixed = fix_last_hash(
-            oracle, p, count, stack, 1, Family.PRIME, 73, rng, exponent_halving=True
-        )
-        assert fixed.outcome is RefinementOutcome.KEPT_ORIGINAL
-        assert fixed.probes == 1
-        assert fixed.stack.constraints[0] is stack.constraints[0]
-        assert fixed.count == count
-        assert oracle.depth == 0
-
     def test_precondition_checks(self):
         oracle, p, stack, rng, count = prepared_boundary(
             150, 10, Family.PRIME, seed=5
@@ -469,29 +444,12 @@ class TestPactCount:
             InMemoryOracle(p, range(n)), p, family=Family.PRIME, seed=5
         )
         assert result.exhausted_refinements > 0
-        assert result.discarded_attempts == 0
         assert n / 1.8 <= result.estimate <= 1.8 * n
-
-    def test_exhaustion_discard_gives_up(self):
-        n, p = 150, proj(10)
-        oracle = InMemoryOracle(p, range(n))
-        with pytest.raises(CounterFailed):
-            pact_count(
-                oracle,
-                p,
-                family=Family.PRIME,
-                seed=5,
-                on_exhausted="discard",
-                retry_budget=2,
-            )
-        assert oracle.depth == 0
 
     def test_rejects_bad_arguments(self):
         oracle = InMemoryOracle(proj(4), range(4))
         with pytest.raises(InvalidParameters):
             pact_count(oracle, proj(4), epsilon=0)
-        with pytest.raises(InvalidParameters):
-            pact_count(oracle, proj(4), on_exhausted="retry")
         with pytest.raises(InvalidParameters):
             pact_count(oracle, ProjectionSet(()))
         oracle.push()

@@ -198,8 +198,8 @@ def test_count_upto_matches_brute_force(family, widths):
             for x, y in rows
         )
         live = oracle.live_values()
-        for thresh in (1, 20, 73):
-            assert oracle.count_upto(p, thresh) == min(truth, thresh)
+        for thresh in (1, 20, 73, None):
+            assert oracle.count_upto(p, thresh) == min(truth, thresh or truth)
         assert oracle.depth == len(stack)
         assert oracle.live_values() == live  # the loop's blocking clauses were scoped
         while oracle.depth:
