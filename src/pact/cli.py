@@ -153,9 +153,11 @@ def _run(config: RunConfig, oracle_factory, measure) -> tuple[ResultRecord, int]
     resolve the projection, open the oracle with the run's deadline on it,
     and let `measure(config, oracle, projection)` give the record's
     (status, count, seed, stats, detail).  A pact error, a bad value or an
-    unreadable file ends as a timeout or error record."""
+    unreadable file ends as a timeout or error record, which carries the
+    stats of the work done up to then."""
     started = time.monotonic()
     deadline = started + config.timeout
+    oracle = None
     try:
         text = Path(config.input).read_text()
         script = parse_declarations(text)
@@ -174,7 +176,8 @@ def _run(config: RunConfig, oracle_factory, measure) -> tuple[ResultRecord, int]
             status, count, seed, stats, detail = measure(config, oracle, projection)
     except (OSError, PactError, ValueError) as exc:
         status = "timeout" if isinstance(exc, OracleTimeout) else "error"
-        count, seed, stats, detail = None, config.seed, None, str(exc)
+        stats = oracle.stats if oracle is not None else None  # the work done
+        count, seed, detail = None, config.seed, str(exc)
     record = _record(config, status, count, seed, stats, started, detail)
     return record, _EXIT_CODES[status]
 

@@ -34,6 +34,7 @@ from .hashing import (
     generate_hash,
     satisfied,
     smallest_prime_above,
+    value_columns,
 )
 from .oracle import Oracle, QueryStats
 from .smtlib import BlockingClause, ProjectionSet
@@ -89,7 +90,7 @@ class ModelCache:
     A hash constraint reads only projection variables, so the cache decides
     with the hash semantics alone which of its models lie in a cell: those
     meeting the cell's leading chain constraints.  Models are kept as one
-    column per projection variable (uint64, or Python ints above 64 bits).
+    column per projection variable, as `hashing.value_columns` lays them out.
     `_depth[m]` is the number of leading chain constraints model m meets,
     counted over the first `_evaluated` of them; constraints drawn since
     are evaluated, on the models meeting all the others, at the next count.
@@ -100,8 +101,8 @@ class ModelCache:
 
     def __init__(self, projection: ProjectionSet):
         self.projection = projection
-        self._dtypes = [np.uint64 if v.width <= 64 else object for v in projection.variables]
-        self._columns = [np.empty(0, dtype=d) for d in self._dtypes]
+        self._widths = [v.width for v in projection.variables]
+        self._columns = value_columns(self._widths, [])
         self._depth = np.empty(0, dtype=np.intp)
         self._seen: set[tuple[int, ...]] = set()
         self._chain: list[HashConstraint] = []
@@ -149,7 +150,7 @@ class ModelCache:
         if not at.size:
             return None
         rows = zip(*(col[at].tolist() for col in self._columns))
-        return BlockingClause.from_rows(self.projection, rows)
+        return BlockingClause(self.projection, tuple(rows))
 
     def add(self, models, index: int, extra: HashConstraint | None = None) -> None:
         """Cache models the oracle found in the cell `members(index, extra)`
@@ -158,9 +159,8 @@ class ModelCache:
             return
         self._evaluate_chain()
         names = self.projection.names
-        values = [[model[name] for model in models] for name in names]
-        rows = list(zip(*values))
-        columns = [np.array(col, dtype=d) for col, d in zip(values, self._dtypes)]
+        rows = [tuple(map(model.__getitem__, names)) for model in models]
+        columns = value_columns(self._widths, rows)
         named = self._named(columns)
         if self._chain:
             depth = self._leading(self._chain, named)

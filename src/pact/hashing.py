@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -65,21 +66,74 @@ class HashConstraint:
 
     @functools.cached_property
     def packed(self) -> np.ndarray | None:
-        """The coefficients as `hash_values` reads them, or None when one
-        needs more than 64 bits: for XOR one uint64 mask per variable, in
-        slice order, of the bits whose coefficient is 1; otherwise one
-        uint64 per slice."""
-        values = self.coeffs
+        """The numbers `hash_values` reads, or None when the arithmetic needs
+        more than 64 bits.  XOR: one mask per variable, in slice order, of
+        the bits whose coefficient is 1.  PRIME and SHIFT: one coefficient
+        per slice, then the offset (mod p for PRIME).  The dtype is the
+        narrowest that keeps the arithmetic exact: for PRIME it holds the
+        whole sum, so one mod at the end suffices; for SHIFT it has at least
+        wbar bits, so its wraparound is exact mod 2^wbar."""
         if self.family is Family.XOR:
             masks = dict.fromkeys((sl.var for sl in self.slices), 0)
             for coeff, sl in zip(self.coeffs, self.slices):
                 if coeff:
                     masks[sl.var] |= 1 << sl.lo
             values = list(masks.values())
-        try:
-            return np.array(values, dtype=np.uint64)
-        except OverflowError:
-            return None
+            bits = max(sl.parent_width for sl in self.slices)
+        elif self.family is Family.PRIME:
+            p = self.range_size
+            values = [*self.coeffs, self.offset % p]
+            bound = p + max(self.coeffs) * sum((1 << sl.width) - 1 for sl in self.slices)
+            bits = bound.bit_length()
+        else:
+            values, bits = [*self.coeffs, self.offset], self.widened_width
+        dtype = column_dtype(bits)
+        return None if dtype == object else np.array(values, dtype=dtype)
+
+    @functools.cached_property
+    def layout(self) -> tuple[tuple[str, slice, np.ndarray, np.ndarray], ...]:
+        """How `hash_values` cuts the columns: per variable, in slice order,
+        its name, the positions of its slices in `coeffs`, and their shifts
+        and masks as (slices x 1) arrays in the variable's column dtype."""
+        return _layout(self.slices)
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(slices: tuple[Slice, ...]) -> tuple[tuple[str, slice, np.ndarray, np.ndarray], ...]:
+    # memoized: the constraints of a chain share one slicing
+    out, start = [], 0
+    for var, group in itertools.groupby(slices, key=lambda sl: sl.var):
+        group = tuple(group)
+        dtype = column_dtype(group[0].parent_width)
+        out.append((
+            var,
+            slice(start, start + len(group)),
+            np.array([[sl.lo] for sl in group], dtype=dtype),
+            np.array([[(1 << sl.width) - 1] for sl in group], dtype=dtype),
+        ))
+        start += len(group)
+    return tuple(out)
+
+
+_UINTS = tuple(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64))
+
+
+def column_dtype(width: int) -> np.dtype:
+    """The narrowest unsigned dtype of at least `width` bits (uint8, 16, 32
+    or 64), or object, for Python ints, above 64 bits."""
+    for dtype in _UINTS:
+        if width <= 8 * dtype.itemsize:
+            return dtype
+    return np.dtype(object)
+
+
+def value_columns(widths: Sequence[int], rows: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+    """One column per variable of `rows`, value tuples in variable order,
+    each at its width's `column_dtype`: the layout `hash_values` reads."""
+    return [
+        np.fromiter((row[j] for row in rows), dtype=column_dtype(w), count=len(rows))
+        for j, w in enumerate(widths)
+    ]
 
 
 @functools.lru_cache(maxsize=256)
@@ -236,50 +290,41 @@ def hash_values(
 
     The constraints share one family and one slicing, as the constraints of
     a chain drawn at one range exponent do.  `columns` maps every projection
-    variable to a uint64 array with one value per model.  Row k of the
-    result holds constraint k's hash value on each model.  Returns None when
+    variable to an unsigned array with one value per model, as
+    `value_columns` builds them.  Row k of the result holds constraint k's
+    hash value on each model, in the dtype of the constraints' `packed`
+    (uint8 for XOR).  Returns None when a column holds Python ints or
     64-bit arithmetic can't hold the computation.
     """
-    if any(col.dtype != np.uint64 for col in columns.values()):
-        return None
-    first = constraints[0]
     rows = [c.packed for c in constraints]
-    if any(row is None for row in rows):
+    if any(row is None for row in rows) or any(col.dtype.kind != "u" for col in columns.values()):
         return None
-    coeffs = rows[0][None, :] if len(rows) == 1 else np.stack(rows)
+    packed = rows[0][None, :] if len(rows) == 1 else np.stack(rows)
+    first = constraints[0]
     if first.family is Family.XOR:
-        names = list(dict.fromkeys(sl.var for sl in first.slices))
-        acc = coeffs[:, :1] & columns[names[0]]
-        for j in range(1, len(names)):
-            acc ^= coeffs[:, j : j + 1] & columns[names[j]]
-        return np.bitwise_count(acc) & np.uint64(1)
+        # each variable's parity of its selected bits, in bitwise_count's uint8
+        parity = None
+        for j, (name, _at, _lo, _mask) in enumerate(first.layout):
+            col = columns[name]
+            ones = np.bitwise_count(packed[:, j : j + 1].astype(col.dtype, copy=False) & col)
+            parity = ones if parity is None else parity ^ ones
+        parity &= 1
+        return parity
+    dtype = packed.dtype
+    total = packed[:, -1:]  # the offsets
+    for name, at, lo, mask in first.layout:
+        # every slice of the variable at once, slices x models; the shift
+        # runs at the column's width, the rest at the arithmetic's
+        part = (columns[name] >> lo).astype(dtype, copy=False)
+        part &= mask.astype(dtype, copy=False)
+        total = total + np.einsum("ks,sn->kn", packed[:, at], part)
     if first.family is Family.PRIME:
-        # the whole sum must fit in 64 bits: one mod at the end
-        p = first.range_size
-        if p + int(coeffs.max()) * sum((1 << sl.width) - 1 for sl in first.slices) >= 1 << 64:
-            return None
-        offsets = [c.offset % p for c in constraints]
-    elif first.family is Family.SHIFT:
-        # uint64 wraparound is exact mod 2^64, and 2^wbar divides 2^64
-        if first.widened_width > 64:
-            return None
-        offsets = [c.offset for c in constraints]
-    else:
-        return None
-    for s, sl in enumerate(first.slices):
-        v = columns[sl.var]
-        if sl.lo:
-            v = v >> np.uint64(sl.lo)
-        v = v & np.uint64((1 << sl.width) - 1)
-        if s == 0:
-            acc = coeffs[:, :1] * v
-        else:
-            acc += coeffs[:, s : s + 1] * v
-    acc += np.array(offsets, dtype=np.uint64)[:, None]
-    if first.family is Family.PRIME:
-        return acc % np.uint64(p)
+        total %= dtype.type(first.range_size)
+        return total
     wbar = first.widened_width
-    return (acc & np.uint64((1 << wbar) - 1)) >> np.uint64(wbar - first.ell)
+    total &= dtype.type((1 << wbar) - 1)
+    total >>= dtype.type(wbar - first.ell)
+    return total
 
 
 def satisfied(
@@ -293,7 +338,7 @@ def satisfied(
     """
     values = hash_values(constraints, columns)
     if values is not None:
-        targets = np.array([c.target for c in constraints], dtype=np.uint64)
+        targets = np.array([c.target for c in constraints], dtype=values.dtype)
         return values == targets[:, None]
     names = list(columns)
     models = [dict(zip(names, row)) for row in zip(*(col.tolist() for col in columns.values()))]

@@ -35,7 +35,7 @@ from .errors import (
     StackUnderflow,
     UnknownVariable,
 )
-from .hashing import HashConstraint, satisfied
+from .hashing import HashConstraint, satisfied, value_columns
 from .smtlib import (
     BlockingClause,
     Form,
@@ -185,9 +185,11 @@ class InMemoryOracle(Oracle):
     Rows are kept sorted and each frame is a sorted array of live row
     indices, so the first model is always the smallest live row and every
     downstream result is deterministic.  A push shares the top array; a
-    constraint replaces it with its survivors.  Constraint filtering is
-    vectorized with numpy where slice arithmetic fits in 64 bits and falls
-    back to the scalar `eval_hash` otherwise (`hashing.satisfied`).
+    constraint replaces it with its survivors.  Each variable's values are
+    one column at the narrowest unsigned dtype of its width
+    (`hashing.value_columns`).  Constraint filtering is vectorized with
+    numpy where slice arithmetic fits in 64 bits and falls back to the
+    scalar `eval_hash` otherwise (`hashing.satisfied`).
     """
 
     def __init__(
@@ -214,17 +216,8 @@ class InMemoryOracle(Oracle):
         self._row_index = {row: i for i, row in enumerate(self._rows)}
         self._names = projection.names
         self._positions = {name: j for j, name in enumerate(self._names)}
-        n = len(self._rows)
-        # values above 64 bits stay Python ints, in object columns
-        self._columns = [
-            np.fromiter(
-                (row[j] for row in self._rows),
-                dtype=np.uint64 if w <= 64 else object,
-                count=n,
-            )
-            for j, w in enumerate(widths)
-        ]
-        self._frames: list[np.ndarray] = [np.arange(n, dtype=np.intp)]
+        self._columns = value_columns(widths, self._rows)
+        self._frames: list[np.ndarray] = [np.arange(len(self._rows), dtype=np.intp)]
 
     @property
     def depth(self) -> int:
@@ -272,7 +265,7 @@ class InMemoryOracle(Oracle):
     # -- filtering internals: each takes the live indices and returns survivors
 
     def _after_block(self, clause: BlockingClause, live: np.ndarray) -> np.ndarray:
-        names = tuple(name for name, _w, _v in clause.assignments)
+        names = clause.projection.names
         rows = clause.rows
         if names != self._names:
             for name in names:

@@ -10,6 +10,7 @@ verbatim top-level form slices.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -181,7 +182,7 @@ class ProjectionSet:
     def total_width(self) -> int:
         return sum(v.width for v in self.variables)
 
-    @property
+    @functools.cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)
 
@@ -191,35 +192,18 @@ class ProjectionSet:
 
 @dataclass(frozen=True)
 class BlockingClause:
-    """Negation of one or more projected models.
+    """Negation of one or more projected models: each row of `rows` holds
+    one model's values of the `projection` variables, in their order."""
 
-    `assignments` holds (name, width, value) per variable for the first
-    model; each row of `more` holds the values of one further model, for
-    the same variables in the same order.
-    """
-
-    assignments: tuple[tuple[str, int, int], ...]
-    more: tuple[tuple[int, ...], ...] = ()
+    projection: ProjectionSet
+    rows: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_model(cls, projection: ProjectionSet, model: dict[str, int]) -> "BlockingClause":
-        return cls(tuple((v.name, v.width, model[v.name]) for v in projection.variables))
-
-    @classmethod
-    def from_rows(cls, projection: ProjectionSet, rows) -> "BlockingClause":
-        """Block every row of values, each given in projection order."""
-        first, *rest = rows
-        return cls(
-            tuple((v.name, v.width, x) for v, x in zip(projection.variables, first)),
-            tuple(rest),
-        )
-
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return (tuple(v for _n, _w, v in self.assignments),) + self.more
+        return cls(projection, (tuple(map(model.__getitem__, projection.names)),))
 
     def __len__(self) -> int:
-        return 1 + len(self.more)
+        return len(self.rows)
 
 
 def unquote_symbol(token: str) -> str:
@@ -379,7 +363,7 @@ def render_assertion(constraint) -> str:
     zero_extend, =, not, and) and binary literals.
     """
     if isinstance(constraint, BlockingClause):
-        symbols = [(quote_symbol(name), width) for name, width, _v in constraint.assignments]
+        symbols = [(quote_symbol(v.name), v.width) for v in constraint.projection.variables]
         negations = []
         for row in constraint.rows:
             eqs = [f"(= {sym} {_bits(v, width)})" for (sym, width), v in zip(symbols, row)]

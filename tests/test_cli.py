@@ -21,6 +21,7 @@ from pact.cli import (
     run_count,
 )
 from pact.corpus import InstanceSpec, build, write_corpus
+from pact.errors import OracleTimeout
 from pact.hashing import HashConstraint
 from pact.oracle import InMemoryOracle, SubprocessOracle
 
@@ -44,6 +45,20 @@ class DropsEveryThirdHash(InMemoryOracle):
             if self.hashes % 3 == 0:
                 return
         super().assert_constraint(constraint)
+
+
+class TimesOutAtCheckSat(InMemoryOracle):
+    """A memory oracle whose n-th check-sat times out."""
+
+    def __init__(self, n, *args):
+        super().__init__(*args)
+        self.n = n
+
+    def check_sat(self):
+        result = super().check_sat()
+        if self.stats.check_sat_calls == self.n:
+            raise OracleTimeout(f"check-sat {self.n} timed out")
+        return result
 
 
 def write_instance(tmp_path, spec, sidecar=True):
@@ -179,6 +194,15 @@ class TestRunCount:
         assert code == EXIT_TIMEOUT
         assert record.status == "timeout"
         assert record.count is None
+
+    def test_timeout_record_keeps_the_work_done(self, tmp_path):
+        spec = InstanceSpec("inst", "interval", 10, 300, seed=2)
+        inst, script = write_instance(tmp_path, spec)
+        factory = lambda script, projection: TimesOutAtCheckSat(40, projection, inst.solutions)
+        record, code = run_count(RunConfig("count", str(script), seed=5), factory)
+        assert (record.status, code) == ("timeout", EXIT_TIMEOUT)
+        assert record.check_sat_calls == 40
+        assert record.assertions_sent > 0
 
     def test_missing_file(self):
         record, code = run_count(RunConfig("count", "no/such/file.smt2"))

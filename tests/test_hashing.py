@@ -179,6 +179,24 @@ def test_generate_xor_domains():
     assert c.offset is None
 
 
+@pytest.mark.parametrize("width", [20, 70])
+def test_xor_masks_select_every_bit_about_half_the_time(width):
+    """Every bit of an xor mask is an independent fair coin, so over N draws
+    the number of masks selecting a given bit is Binomial(N, 1/2).  By
+    Hoeffding, P(|count - N/2| >= t) <= 2 exp(-2 t^2 / N): with N = 400 and
+    t = 60 that is 2 exp(-18) < 3.1e-8 per bit, and under 2.2e-6 over all 70
+    bits by the union bound.  A draw that never selects some bit reads 0
+    there, 200 from N/2."""
+    n_draws, t = 400, 60
+    p = proj(width)
+    rng = random.Random(f"xor-bits/{width}")
+    selected = [0] * width
+    for _ in range(n_draws):
+        c = generate_hash(p, 1, Family.XOR, rng)
+        selected = [k + coeff for k, coeff in zip(selected, c.coeffs)]
+    assert all(abs(k - n_draws / 2) < t for k in selected), selected
+
+
 def test_generate_prime_domains():
     p = proj(8)
     c = generate_hash(p, 4, Family.PRIME, random.Random(0))

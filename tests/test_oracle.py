@@ -81,7 +81,7 @@ class TestInMemoryFiltering:
 
     def test_full_blocking_clause(self):
         oracle = InMemoryOracle(X3, range(8))
-        oracle.assert_constraint(BlockingClause((("x", 3, 5),)))
+        oracle.assert_constraint(BlockingClause(X3, ((5,),)))
         assert (5,) not in oracle.live_values()
         assert len(oracle.live_values()) == 7
 
@@ -89,7 +89,7 @@ class TestInMemoryFiltering:
         p = proj(bv("x", 2), bv("y", 2))
         rows = [(a, b) for a in range(4) for b in range(4)]
         oracle = InMemoryOracle(p, rows)
-        oracle.assert_constraint(BlockingClause((("y", 2, 3),)))
+        oracle.assert_constraint(BlockingClause(proj(bv("y", 2)), ((3,),)))
         assert all(b != 3 for _, b in oracle.live_values())
         assert len(oracle.live_values()) == 12
 
@@ -115,7 +115,7 @@ class TestInMemoryStack:
         while oracle.check_sat() is SolverResult.SAT:
             m = oracle.get_projected_model(X3)
             seen.append(m["x"])
-            oracle.assert_constraint(BlockingClause((("x", 3, m["x"]),)))
+            oracle.assert_constraint(BlockingClause(X3, ((m["x"],),)))
         assert seen == [2, 5, 7]
 
     def test_models_are_read_by_name(self):
@@ -137,7 +137,7 @@ class TestInMemoryStack:
         oracle = InMemoryOracle(X3, range(4))
         oracle.check_sat()
         oracle.check_sat()
-        oracle.assert_constraint(BlockingClause((("x", 3, 0),)))
+        oracle.assert_constraint(BlockingClause(X3, ((0,),)))
         assert oracle.stats.check_sat_calls == 2
         assert oracle.stats.assertions_sent == 1
 
@@ -186,7 +186,7 @@ def test_count_upto_matches_brute_force(family, widths):
         ell = 1 if family is Family.XOR else rng.randint(1, 3)
         stack = [generate_hash(p, ell, family, rng) for _ in range(rng.randint(0, 4))]
         blocked_y = rng.randrange(1 << widths[1])
-        stack.insert(rng.randint(0, len(stack)), BlockingClause((("y", widths[1], blocked_y),)))
+        stack.insert(rng.randint(0, len(stack)), BlockingClause(proj(bv("y", widths[1])), ((blocked_y,),)))
         for constraint in stack:
             oracle.push()
             oracle.assert_constraint(constraint)
@@ -250,7 +250,7 @@ class TestSubprocess:
         with make_oracle() as oracle:
             assert oracle.depth == 0
             oracle.push()
-            oracle.assert_constraint(BlockingClause((("x", 4, 0),)))
+            oracle.assert_constraint(BlockingClause(proj(bv("x", 4)), ((0,),)))
             assert oracle.depth == 1
             assert enumerate_count(oracle, p).count == 4
             oracle.pop()
@@ -289,7 +289,7 @@ class TestSubprocess:
         p = projection_of(SCRIPT_5, ["x"])
         with make_oracle(command=cmd, query_timeout=0.5) as oracle:
             oracle.push()
-            oracle.assert_constraint(BlockingClause((("x", 4, 0),)))
+            oracle.assert_constraint(BlockingClause(proj(bv("x", 4)), ((0,),)))
             first_pid = oracle.pid
             flag.touch()
             assert oracle.check_sat() is SolverResult.TIMEOUT
@@ -305,7 +305,7 @@ class TestSubprocess:
         ]
         with make_oracle(command=cmd) as oracle:
             oracle.push()
-            oracle.assert_constraint(BlockingClause((("x", 4, 0),)))
+            oracle.assert_constraint(BlockingClause(proj(bv("x", 4)), ((0,),)))
             spawns = []
             monkeypatch.setattr(oracle, "_spawn", lambda: spawns.append(1))
             oracle.deadline = time.monotonic() + 0.5

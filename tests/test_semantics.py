@@ -15,7 +15,14 @@ import numpy as np
 import pytest
 
 from pact.counter import ModelCache
-from pact.hashing import Family, eval_hash, generate_hash, hash_values, satisfied
+from pact.hashing import (
+    Family,
+    eval_hash,
+    generate_hash,
+    hash_values,
+    satisfied,
+    value_columns,
+)
 from pact.minisolve import Engine, Frame, GridVar
 from pact.oracle import InMemoryOracle
 from pact.smtlib import BlockingClause, ProjectionSet, SortedVar, iter_top_forms, render_assertion
@@ -26,6 +33,15 @@ SHAPES = {
     "three-var": (9, 1, 4),
     "wide": (70,),
     "wide-and-narrow": (66, 4),
+    # each side of every column dtype's width
+    "8": (8,),
+    "9": (9,),
+    "16": (16,),
+    "17": (17,),
+    "32": (32,),
+    "33": (33,),
+    "64": (64,),
+    "8-and-33": (8, 33),
 }
 
 
@@ -35,22 +51,26 @@ def projection(widths):
 
 
 def points(widths, rng, n=120):
-    return sorted({tuple(rng.getrandbits(w) for w in widths) for _ in range(n)})
+    """Random rows, plus rows of all ones and of the top bit alone, so every
+    column's top bit is set somewhere."""
+    rows = {tuple(rng.getrandbits(w) for w in widths) for _ in range(n)}
+    rows.add(tuple((1 << w) - 1 for w in widths))
+    rows.add(tuple(1 << (w - 1) for w in widths))
+    return sorted(rows)
 
 
 def columns(p, rows):
-    return {
-        v.name: np.array([row[j] for row in rows], dtype=np.uint64 if v.width <= 64 else object)
-        for j, v in enumerate(p.variables)
-    }
+    """The columns as the in-memory oracle and the model cache keep them."""
+    return dict(zip(p.names, value_columns([v.width for v in p.variables], rows)))
 
 
 def engine_over(p, rows):
-    """An Engine whose grid is exactly `rows`, one point per row."""
+    """An Engine whose grid is exactly `rows`, one point per row, in
+    minisolve's layout: uint64, or Python ints above 64 bits."""
     engine = Engine()
-    for name, col in columns(p, rows).items():
-        width = next(v.width for v in p.variables if v.name == name)
-        engine.grid[name] = GridVar("bv", width, col)
+    for j, v in enumerate(p.variables):
+        col = np.array([row[j] for row in rows], dtype=np.uint64 if v.width <= 64 else object)
+        engine.grid[v.name] = GridVar("bv", v.width, col)
     engine.grid_size = len(rows)
     engine.frames = [Frame(np.ones(len(rows), dtype=bool))]
     return engine
@@ -73,8 +93,22 @@ def reference_survivors(p, rows, constraints):
 
 
 def chain(p, family, rng, length):
-    ell = 1 if family is Family.XOR else rng.randint(1, 6)
+    # at ell 32 a SHIFT sum can take all 64 bits, and a PRIME sum can exceed them
+    ell = 1 if family is Family.XOR else rng.choice((1, 2, 3, 4, 5, 6, 32))
     return [generate_hash(p, ell, family, rng) for _ in range(length)]
+
+
+def fits_64_bits(c):
+    """Whether 64 bits hold the constraint's arithmetic, so the vectorized
+    kernel takes it: its columns fit, a PRIME sum stays below its bound
+    p + max coefficient x sum of (2^w - 1) < 2^64 (it is reduced once, at
+    the end), and a SHIFT sum has wbar <= 64 bits."""
+    if max(sl.parent_width for sl in c.slices) > 64:
+        return False
+    if c.family is Family.PRIME:
+        bound = c.range_size + max(c.coeffs) * sum((1 << sl.width) - 1 for sl in c.slices)
+        return bound < 1 << 64
+    return c.family is Family.XOR or c.widened_width <= 64
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
@@ -94,9 +128,9 @@ def test_rendered_text_matches_every_evaluator(family, shape):
             if prefix:
                 met = satisfied(prefix, cols).all(axis=0)
                 assert {row for row, keep in zip(rows, met) if keep} == expected
-        if max(widths) <= 64:
-            # narrow columns take the vectorized path, not the fallback
-            assert hash_values(constraints, cols) is not None
+        # the vectorized path wherever 64 bits hold the arithmetic, else the fallback
+        vectorized = hash_values(constraints, cols) is not None
+        assert vectorized == all(fits_64_bits(c) for c in constraints)
 
         # the cache as a count drives it: constraints drawn one at a time,
         # cells probed in between, and models found deep in the chain
@@ -120,6 +154,40 @@ def test_rendered_text_matches_every_evaluator(family, shape):
         for c in constraints:
             oracle.assert_constraint(c)
         assert set(oracle.live_values()) == reference_survivors(p, rows, constraints)
+
+
+def vectorized_survivors(p, rows, cell):
+    met = satisfied(cell, columns(p, rows)).all(axis=0)
+    return {row for row, keep in zip(rows, met) if keep}
+
+
+@pytest.mark.parametrize(
+    "widths, ell, wbar",
+    [((4,), 6, 9), ((8,), 10, 17), ((16,), 18, 33), ((64,), 32, 64), ((8, 33), 32, 64)],
+)
+def test_shift_sums_at_the_dtype_edges(widths, ell, wbar):
+    """wbar = max(2w, w + ell - 1) lands one bit past uint8, uint16 and
+    uint32, and on all of uint64: the sum wraps exactly mod 2^wbar only in
+    a dtype of at least wbar bits."""
+    p = projection(widths)
+    rng = random.Random(f"shift-edge/{widths}")
+    rows = points(widths, rng)
+    cell = [generate_hash(p, ell, Family.SHIFT, rng) for _ in range(3)]
+    assert cell[0].widened_width == wbar
+    assert hash_values(cell, columns(p, rows)) is not None
+    assert vectorized_survivors(p, rows, cell) == reference_survivors(p, rows, cell)
+
+
+@pytest.mark.parametrize("widths, ell", [((64,), 32), ((8, 33), 33)])
+def test_prime_sums_past_64_bits_fall_back(widths, ell):
+    """A PRIME draw whose sum can pass 2^64 goes to `eval_hash`."""
+    p = projection(widths)
+    rng = random.Random(f"prime-edge/{widths}")
+    rows = points(widths, rng)
+    draws = (generate_hash(p, ell, Family.PRIME, rng) for _ in range(100))
+    cell = [next(c for c in draws if not fits_64_bits(c))]
+    assert hash_values(cell, columns(p, rows)) is None
+    assert vectorized_survivors(p, rows, cell) == reference_survivors(p, rows, cell)
 
 
 @pytest.mark.parametrize("family", [Family.PRIME, Family.SHIFT], ids=str)
@@ -150,7 +218,7 @@ def test_blocking_clauses_single_and_combined(shape):
     rows = points(widths, rng)
     for k in (1, 2, 7):
         blocked = rng.sample(rows, k)
-        clause = BlockingClause.from_rows(p, blocked)
+        clause = BlockingClause(p, tuple(blocked))
         assert len(clause) == k
         expected = set(rows) - set(blocked)
         assert engine_survivors(p, rows, [clause]) == expected
@@ -162,9 +230,9 @@ def test_blocking_clauses_single_and_combined(shape):
 def test_single_model_clause_renders_as_before():
     p = projection((4, 3))
     single = BlockingClause.from_model(p, {"v0": 5, "v1": 2})
-    assert BlockingClause.from_rows(p, [(5, 2)]) == single
+    assert BlockingClause(p, ((5, 2),)) == single
     assert render_assertion(single) == "(assert (not (and (= v0 #b0101) (= v1 #b010))))"
-    both = BlockingClause.from_rows(p, [(5, 2), (0, 7)])
+    both = BlockingClause(p, ((5, 2), (0, 7)))
     assert render_assertion(both) == (
         "(assert (and (not (and (= v0 #b0101) (= v1 #b010))) "
         "(not (and (= v0 #b0000) (= v1 #b111)))))"

@@ -7,7 +7,9 @@ from pact.errors import MalformedScript, NonDiscreteProjection, UnknownVariable
 from pact.hashing import Family, HashConstraint, Slice
 from pact.smtlib import (
     BlockingClause,
+    ProjectionSet,
     SexprReader,
+    SortedVar,
     iter_top_forms,
     parse_declarations,
     projection_comment_names,
@@ -249,13 +251,17 @@ def test_render_xor_empty_selection_is_constant():
     assert render_assertion(c2) == "(assert false)"
 
 
+def bv(name, width):
+    return SortedVar(name, f"(_ BitVec {width})", width)
+
+
 def test_render_blocking_single_variable():
-    b = BlockingClause((("x", 4, 5),))
+    b = BlockingClause(ProjectionSet((bv("x", 4),)), ((5,),))
     assert render_assertion(b) == "(assert (not (= x #b0101)))"
 
 
 def test_render_blocking_two_variables():
-    b = BlockingClause((("x", 2, 1), ("y", 3, 6)))
+    b = BlockingClause(ProjectionSet((bv("x", 2), bv("y", 3))), ((1, 6),))
     assert render_assertion(b) == "(assert (not (and (= x #b01) (= y #b110))))"
 
 
