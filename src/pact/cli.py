@@ -166,7 +166,6 @@ def _run(config: RunConfig, oracle_factory, measure) -> tuple[ResultRecord, int]
             oracle = SubprocessOracle(
                 config.solver_cmd,  # None falls through to the environment/default
                 text,
-                query_timeout=config.timeout,
                 deadline=deadline,  # loading the script counts against it too
             )
         else:

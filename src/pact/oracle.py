@@ -54,7 +54,6 @@ class SolverResult(enum.Enum):
     SAT = "sat"
     UNSAT = "unsat"
     UNKNOWN = "unknown"
-    TIMEOUT = "timeout"
 
 
 @dataclass
@@ -138,8 +137,6 @@ class Oracle(ABC):
                         "solver answered unknown while counting a cell; "
                         "the estimate would be unsound"
                     )
-                if result is SolverResult.TIMEOUT:
-                    raise OracleTimeout("solver timed out while counting a cell")
                 model = self.get_projected_model(projection)
                 if fetched is not None:
                     fetched.append(model)
@@ -330,10 +327,11 @@ def default_solver_command() -> str:
 class SubprocessOracle(Oracle):
     """Client for any SMT-LIB2 solver process on stdin/stdout.
 
-    The handle keeps `print-success` on so every command is acknowledged,
-    loads the input script verbatim (minus interactive control commands),
-    and journals state-changing commands so the session can be replayed
-    after a timeout kill.
+    The handle keeps `print-success` on so every command is acknowledged
+    and loads the input script verbatim (minus interactive control
+    commands).  Each read waits at most `query_timeout` seconds and never
+    past `deadline`; a read that runs out kills the solver and raises
+    `OracleTimeout`, and the handle is unusable from then on.
     """
 
     def __init__(
@@ -360,19 +358,10 @@ class SubprocessOracle(Oracle):
                 self._owns_transcript = True
             else:
                 self._transcript = transcript
-        self._proc: subprocess.Popen | None = None
-        self._selector: selectors.BaseSelector | None = None
-        self._stderr_file = None
         self._buf = b""
+        self._reader = SexprReader()
         self._depth = 0
         self._dead = False
-        self._journal: list[list[str]] = []
-        self._spawn()
-        self._load_initial()
-
-    # -- process plumbing
-
-    def _spawn(self) -> None:
         self._stderr_file = tempfile.TemporaryFile()
         try:
             self._proc = subprocess.Popen(
@@ -386,21 +375,12 @@ class SubprocessOracle(Oracle):
         os.set_blocking(self._proc.stdout.fileno(), False)
         self._selector = selectors.DefaultSelector()
         self._selector.register(self._proc.stdout, selectors.EVENT_READ)
-        self._buf = b""
-        self._reader = SexprReader()  # a replayed session starts no half reply
-
-    def _load_initial(self) -> None:
-        base: list[str] = []
-        for cmd in (
-            "(set-option :print-success true)",
-            "(set-option :produce-models true)",
-        ):
-            self._send_expect_success(cmd)
-            base.append(cmd)
+        self._send_expect_success("(set-option :print-success true)")
+        self._send_expect_success("(set-option :produce-models true)")
         for cmd in self._script_commands():
             self._send_expect_success(cmd)
-            base.append(cmd)
-        self._journal = [base]
+
+    # -- process plumbing
 
     def _script_commands(self) -> list[str]:
         out = []
@@ -490,34 +470,22 @@ class SubprocessOracle(Oracle):
             candidates.append(self.deadline - time.monotonic())
         return min(candidates) if candidates else None
 
-    def _send_expect_success(self, cmd: str) -> None:
-        self._write(cmd)
+    def _reply(self, waiting_for: str) -> tuple[object, Form]:
+        """The next response within the read budget.  One that does not come
+        in time kills the solver: the session ends with the timeout."""
         resp = self._read_response(self._budget())
         if resp is None:
-            self._restart_after_timeout()
-            raise OracleTimeout(f"solver did not acknowledge {cmd!r} in time")
-        if resp[0] != "success":
-            raise ProtocolError(f"expected success for {cmd!r}, got {resp[1].text!r}")
+            self._log("#", "timeout: killing the session")
+            self._teardown_process()
+            self._dead = True
+            raise OracleTimeout(f"solver did not answer {waiting_for} in time")
+        return resp
 
-    def _restart_after_timeout(self) -> None:
-        """Kill the wedged process, respawn, and replay the journal, unless
-        the run's deadline has passed: then the handle stays dead."""
-        self._teardown_process()
-        if self.deadline is not None and time.monotonic() >= self.deadline:
-            self._log("#", "timeout: killing the session, the time budget is spent")
-            self._dead = True
-            return
-        self._log("#", "timeout: killing and replaying session")
-        try:
-            self._spawn()
-            for frame in self._journal:
-                for cmd in frame:
-                    self._write(cmd)
-                    resp = self._read_response(self._budget())
-                    if resp is None or resp[0] != "success":
-                        raise ProtocolError(f"replay of {cmd!r} was not acknowledged")
-        except Exception:
-            self._dead = True
+    def _send_expect_success(self, cmd: str) -> None:
+        self._write(cmd)
+        answer, form = self._reply(repr(cmd))
+        if answer != "success":
+            raise ProtocolError(f"expected success for {cmd!r}, got {form.text!r}")
 
     def _teardown_process(self) -> None:
         if self._selector is not None:
@@ -548,19 +516,16 @@ class SubprocessOracle(Oracle):
 
     def push(self) -> None:
         self._send_expect_success("(push 1)")
-        self._journal.append(["(push 1)"])
         self._depth += 1
 
     def pop(self) -> None:
         if self._depth == 0:
             raise StackUnderflow("pop at assertion-stack depth 0")
         self._send_expect_success("(pop 1)")
-        self._journal.pop()
         self._depth -= 1
 
     def assert_text(self, assertion: str) -> None:
         self._send_expect_success(assertion)
-        self._journal[-1].append(assertion)
         self.stats.assertions_sent += 1
 
     def assert_constraint(self, constraint) -> None:
@@ -569,13 +534,11 @@ class SubprocessOracle(Oracle):
     def check_sat(self) -> SolverResult:
         t0 = time.perf_counter()
         self._write("(check-sat)")
-        resp = self._read_response(self._budget())
-        self.stats.check_sat_calls += 1
-        self.stats.solver_time += time.perf_counter() - t0
-        if resp is None:
-            self._restart_after_timeout()
-            return SolverResult.TIMEOUT
-        answer, form = resp
+        try:
+            answer, form = self._reply("check-sat")
+        finally:
+            self.stats.check_sat_calls += 1
+            self.stats.solver_time += time.perf_counter() - t0
         if answer in ("sat", "unsat", "unknown"):
             return SolverResult(answer)
         raise ProtocolError(f"unexpected check-sat answer {form.text!r}")
@@ -584,12 +547,10 @@ class SubprocessOracle(Oracle):
         names = " ".join(quote_symbol(n) for n in projection.names)
         t0 = time.perf_counter()
         self._write(f"(get-value ({names}))")
-        resp = self._read_response(self._budget())
-        self.stats.solver_time += time.perf_counter() - t0
-        if resp is None:
-            self._restart_after_timeout()
-            raise OracleTimeout("solver did not answer get-value in time")
-        pairs, form = resp
+        try:
+            pairs, form = self._reply("get-value")
+        finally:
+            self.stats.solver_time += time.perf_counter() - t0
         text = form.text
         if isinstance(pairs, str):
             raise ProtocolError(f"cannot parse get-value answer {text!r}")

@@ -21,9 +21,10 @@ from pact.cli import (
     run_count,
 )
 from pact.corpus import InstanceSpec, build, write_corpus
-from pact.errors import OracleTimeout
+from pact.errors import OracleTimeout, SolverUnknown
 from pact.hashing import HashConstraint
-from pact.oracle import InMemoryOracle, SubprocessOracle
+from pact.oracle import InMemoryOracle, SolverResult, SubprocessOracle
+from pact.smtlib import parse_declarations, resolve_projection
 
 MINISOLVE_CMD = f"{sys.executable} -m pact.minisolve"
 
@@ -59,6 +60,18 @@ class TimesOutAtCheckSat(InMemoryOracle):
         if self.stats.check_sat_calls == self.n:
             raise OracleTimeout(f"check-sat {self.n} timed out")
         return result
+
+
+class AnswersUnknownAtCheckSat(InMemoryOracle):
+    """A memory oracle whose n-th check-sat answers unknown."""
+
+    def __init__(self, n, *args):
+        super().__init__(*args)
+        self.n = n
+
+    def check_sat(self):
+        result = super().check_sat()
+        return SolverResult.UNKNOWN if self.stats.check_sat_calls == self.n else result
 
 
 def write_instance(tmp_path, spec, sidecar=True):
@@ -203,6 +216,24 @@ class TestRunCount:
         assert (record.status, code) == ("timeout", EXIT_TIMEOUT)
         assert record.check_sat_calls == 40
         assert record.assertions_sent > 0
+
+    def test_unknown_answer_is_an_error_record(self, tmp_path):
+        spec = InstanceSpec("inst", "interval", 8, 20, seed=1)
+        inst, script = write_instance(tmp_path, spec)
+        projection = resolve_projection(parse_declarations(inst.script), list(inst.projection))
+        oracle = AnswersUnknownAtCheckSat(3, projection, inst.solutions)
+        oracle.push()
+        with pytest.raises(SolverUnknown):
+            oracle.count_upto(projection)
+        assert oracle.depth == 1  # unwound to where the count started
+
+        factory = lambda script, projection: AnswersUnknownAtCheckSat(
+            3, projection, inst.solutions
+        )
+        record, code = run_count(RunConfig("count", str(script), seed=1), factory)
+        assert (record.status, code) == ("error", EXIT_ERROR)
+        assert "unknown" in record.detail
+        assert "Traceback" not in record.to_json()
 
     def test_missing_file(self):
         record, code = run_count(RunConfig("count", "no/such/file.smt2"))

@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pact.baseline import BaselineStatus, enumerate_count
-from pact.errors import ProtocolError, SolverCrashed, StackUnderflow, UnknownVariable
+from pact.errors import (
+    OracleTimeout,
+    ProtocolError,
+    SolverCrashed,
+    StackUnderflow,
+    UnknownVariable,
+)
 from pact.hashing import Family, HashConstraint, Slice, eval_hash, generate_hash
 from pact.oracle import InMemoryOracle, SolverResult, SubprocessOracle
 from pact.smtlib import BlockingClause, ProjectionSet, SortedVar, resolve_projection, parse_declarations
@@ -281,24 +287,25 @@ class TestSubprocess:
             with pytest.raises(ProtocolError):
                 oracle.get_projected_model(lying)
 
-    def test_timeout_kills_and_replays(self, tmp_path):
+    def test_a_read_timeout_ends_the_session(self, tmp_path):
         flag = tmp_path / "hang"
+        log = tmp_path / "wire.log"
         cmd = MINISOLVE + [
             "--hang-flag-file", str(flag), "--hang-seconds", "60",
         ]
-        p = projection_of(SCRIPT_5, ["x"])
-        with make_oracle(command=cmd, query_timeout=0.5) as oracle:
+        with make_oracle(command=cmd, query_timeout=0.5, transcript=log) as oracle:
             oracle.push()
             oracle.assert_constraint(BlockingClause(proj(bv("x", 4)), ((0,),)))
-            first_pid = oracle.pid
             flag.touch()
-            assert oracle.check_sat() is SolverResult.TIMEOUT
-            assert oracle.pid != first_pid
-            assert oracle.depth == 1  # journal preserved across the restart
-            # the replayed session still holds the blocking clause
-            assert enumerate_count(oracle, p).count == 4
+            with pytest.raises(OracleTimeout):
+                oracle.check_sat()
+            assert oracle.pid is None  # killed, and not respawned
+            with pytest.raises(SolverCrashed):
+                oracle.check_sat()
+            oracle.close()
+        assert log.read_text().splitlines()[-1].startswith("# timeout")
 
-    def test_no_respawn_once_the_deadline_has_passed(self, tmp_path, monkeypatch):
+    def test_a_spent_deadline_ends_the_session(self, tmp_path):
         flag = tmp_path / "hang"
         cmd = MINISOLVE + [
             "--hang-flag-file", str(flag), "--hang-seconds", "60",
@@ -306,12 +313,10 @@ class TestSubprocess:
         with make_oracle(command=cmd) as oracle:
             oracle.push()
             oracle.assert_constraint(BlockingClause(proj(bv("x", 4)), ((0,),)))
-            spawns = []
-            monkeypatch.setattr(oracle, "_spawn", lambda: spawns.append(1))
             oracle.deadline = time.monotonic() + 0.5
             flag.touch()
-            assert oracle.check_sat() is SolverResult.TIMEOUT
-            assert spawns == []  # no respawn, so no replay either
+            with pytest.raises(OracleTimeout):
+                oracle.check_sat()
             assert oracle.pid is None
             with pytest.raises(SolverCrashed):
                 oracle.check_sat()
@@ -365,6 +370,31 @@ class TestReplyParsing:
         with make_oracle(script, command=fake_solver("((x\n  #b0101))")) as oracle:
             assert oracle.check_sat() is SolverResult.SAT
             assert oracle.get_projected_model(p) == {"x": 5}
+
+    @pytest.mark.parametrize(
+        "reply, expected",
+        [
+            # other solvers may answer in the forms minisolve never sends
+            ("((x #x5))", {"x": 5}),
+            ("((x 5))", {"x": 5}),
+            ("((x (_ bv5 4)))", {"x": 5}),
+            # replies that are no model of x
+            ('(error "no model")', "get-value failed"),
+            ("((x))", "malformed get-value pair"),
+            ("((y #b0101))", "omitted 'x'"),
+            ("((x #q1))", "cannot parse bitvector value"),
+        ],
+    )
+    def test_get_value_reply_forms(self, reply, expected):
+        script = "(declare-const x (_ BitVec 4))\n"
+        p = projection_of(script, ["x"])
+        with make_oracle(script, command=fake_solver(reply)) as oracle:
+            assert oracle.check_sat() is SolverResult.SAT
+            if isinstance(expected, dict):
+                assert oracle.get_projected_model(p) == expected
+            else:
+                with pytest.raises(ProtocolError, match=expected):
+                    oracle.get_projected_model(p)
 
     def test_quoted_symbol_with_paren_in_reply(self):
         script = "(declare-const |a)b| (_ BitVec 4))\n"
