@@ -20,7 +20,6 @@ from .counter import (
 from .hashing import (
     Family,
     HashConstraint,
-    HashStack,
     Slice,
     eval_hash,
     generate_hash,
@@ -48,7 +47,6 @@ __all__ = [
     "Family",
     "GeneratedInstance",
     "HashConstraint",
-    "HashStack",
     "InMemoryOracle",
     "InstanceSpec",
     "ProjectionSet",

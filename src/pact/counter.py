@@ -7,17 +7,18 @@ threshold.  The search starts at the previous iteration's boundary,
 gallops up or down from it and then bisects.  The iteration optionally
 swaps the boundary constraint for a coarser one to land the count as close
 under the threshold as possible, and scales the cell count by the number
-of cells.  The reported estimate is the median over many such iterations,
-which boosts the per-iteration confidence to the requested level.  The
-boundary of a chain does not depend on where its search started, so an
-estimate depends on the seed alone.  Every model the oracle returns is
-cached for the whole count, so a cell's known members are counted, and
-blocked, without asking the oracle for them again.
+of cells: the product of the range sizes of the constraints the cell
+meets.  The chain is one list, owned by the iteration and read by the
+model cache.  The reported estimate is the median over many such
+iterations, which boosts the per-iteration confidence to the requested
+level.  The boundary of a chain does not depend on where its search
+started, so an estimate depends on the seed alone.  Every model the
+oracle returns is cached for the whole count, so a cell's known members
+are counted, and blocked, without asking the oracle for them again.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 import random
 import time
@@ -30,7 +31,6 @@ from .errors import ExhaustedIndices, InconsistentOracle, InvalidParameters, Ora
 from .hashing import (
     Family,
     HashConstraint,
-    HashStack,
     generate_hash,
     satisfied,
     smallest_prime_above,
@@ -89,8 +89,11 @@ class ModelCache:
 
     A hash constraint reads only projection variables, so the cache decides
     with the hash semantics alone which of its models lie in a cell: those
-    meeting the cell's leading chain constraints.  Models are kept as one
-    column per projection variable, as `hashing.value_columns` lays them out.
+    meeting the cell's leading chain constraints.  The chain is the list
+    the iteration passed to `start_chain`: the cache reads the constraints
+    the iteration appends to it, and never changes it.  Models are kept as
+    one column per projection variable, as `hashing.value_columns` lays
+    them out.
     `_depth[m]` is the number of leading chain constraints model m meets,
     counted over the first `_evaluated` of them; constraints drawn since
     are evaluated, on the models meeting all the others, at the next count.
@@ -120,13 +123,10 @@ class ModelCache:
         met = satisfied(constraints, columns)
         return np.where(met.all(axis=0), len(constraints), met.argmin(axis=0))
 
-    def start_chain(self) -> None:
-        self._chain = []
+    def start_chain(self, chain: list[HashConstraint]) -> None:
+        self._chain = chain
         self._evaluated = 0
         self._depth[:] = 0
-
-    def extend(self, constraint: HashConstraint) -> None:
-        self._chain.append(constraint)
 
     def _evaluate_chain(self) -> None:
         pending = self._chain[self._evaluated :]
@@ -304,13 +304,6 @@ def max_hash_index(projection: ProjectionSet, family: Family, ell: int) -> int:
     return m + 1
 
 
-def cell_estimate(count: SaturatingCount, stack: HashStack) -> int:
-    """Scale an exact cell count by the number of cells in the partition."""
-    if not count.is_exact:
-        raise ValueError("cannot scale a saturated count")
-    return count.count * stack.total_cells
-
-
 def find_median(values) -> int:
     ordered = sorted(values)
     if not ordered:
@@ -318,66 +311,40 @@ def find_median(values) -> int:
     return ordered[(len(ordered) - 1) // 2]
 
 
-class RefinementOutcome(enum.Enum):
-    UNCHANGED_XOR = "unchanged-xor"
-    KEPT_ORIGINAL = "kept-original"
-    REFINED = "refined"
-    EXHAUSTED = "exhausted"
-
-
-@dataclass(frozen=True)
-class FixResult:
-    outcome: RefinementOutcome
-    stack: HashStack
-    probes: int
-    count: SaturatingCount
-
-
-def _truncate(stack: HashStack, length: int) -> HashStack:
-    return HashStack(stack.constraints[:length], stack.cumulative_ranges[: length + 1])
-
-
 def fix_last_hash(
     oracle: Oracle,
     projection: ProjectionSet,
     count: SaturatingCount,
-    stack: HashStack,
+    chain: list[HashConstraint],
     index: int,
-    family: Family,
     thresh: int,
     rng: random.Random,
-    *,
     cache: ModelCache | None = None,
-) -> FixResult:
+) -> tuple[HashConstraint, SaturatingCount, int, bool]:
     """Swap the boundary constraint for coarser draws while counts stay exact.
 
     Entered at the chain's boundary `index`, with the oracle holding the
     first `index - 1` constraints, one per frame: that cell saturates, and
     `count` is the exact count of the cell the boundary constraint
-    `stack.constraints[index - 1]` cuts from it.  For XOR nothing happens;
-    otherwise replacement candidates at decreasing range exponents are each
-    tried in a scratch frame on top.  The oracle is left as it was found,
-    unless an error is raised: then the caller unwinds it (`Oracle.unwind`).
-    The first saturating candidate stops the search and the previously kept
-    constraint stands; running out of exponents with every candidate still
-    exact reports EXHAUSTED, carrying the coarsest kept replacement.
-    `cache` is the count's model cache, whose chain is the stack's (see
-    `saturating_count`).
+    `chain[index - 1]` cuts from it.  Replacement candidates of that
+    constraint's family, at decreasing range exponents below its own, are
+    each tried in a scratch frame on top; an XOR constraint, at exponent 1,
+    has none.  The oracle is left as it was found, unless an error is
+    raised: then the caller unwinds it (`Oracle.unwind`).  The first
+    saturating candidate stops the search and the previously kept
+    constraint stands.  Returns the kept constraint, its exact count, the
+    number of candidates counted, and whether the exponents ran out with
+    every candidate still exact.  `cache` is the count's model cache, whose
+    chain is `chain` (see `saturating_count`).
     """
     if not count.is_exact:
         raise ValueError(f"the count at boundary index {index} must be exact")
-    if len(stack) < index or index < 1:
-        raise ValueError(f"stack holds {len(stack)} constraints, need {index}")
-    if family is Family.XOR:
-        return FixResult(RefinementOutcome.UNCHANGED_XOR, _truncate(stack, index), 0, count)
-    kept = stack.constraints[index - 1]
-    kept_count = count
-    outcome = RefinementOutcome.KEPT_ORIGINAL
+    if not 1 <= index <= len(chain):
+        raise ValueError(f"chain holds {len(chain)} constraints, need {index}")
+    kept, kept_count = chain[index - 1], count
     probes = 0
-    exponents = range(kept.ell - 1, 0, -1)
-    exhausted = bool(exponents)
-    for ell_prime in exponents:
-        candidate = generate_hash(projection, ell_prime, family, rng)
+    for ell_prime in range(kept.ell - 1, 0, -1):
+        candidate = generate_hash(projection, ell_prime, kept.family, rng)
         oracle.push()
         oracle.assert_constraint(candidate)
         candidate_count = saturating_count(
@@ -386,14 +353,9 @@ def fix_last_hash(
         oracle.pop()
         probes += 1
         if not candidate_count.is_exact:
-            exhausted = False
-            break
+            return kept, kept_count, probes, False
         kept, kept_count = candidate, candidate_count
-        outcome = RefinementOutcome.REFINED
-    if exhausted:
-        outcome = RefinementOutcome.EXHAUSTED
-    new_stack = _truncate(stack, index).replace_last(kept)
-    return FixResult(outcome, new_stack, probes, kept_count)
+    return kept, kept_count, probes, probes > 0
 
 
 @dataclass(frozen=True)
@@ -412,14 +374,6 @@ class CountResult:
     wall_time: float
 
 
-@dataclass(frozen=True)
-class _IterationOutcome:
-    estimate: int
-    probes: int
-    exhausted: bool
-    boundary: int  # before refinement
-
-
 def _one_iteration(
     oracle: Oracle,
     projection: ProjectionSet,
@@ -429,22 +383,22 @@ def _one_iteration(
     hint: int,
     max_index: int,
     cache: ModelCache,
-) -> _IterationOutcome:
+) -> tuple[int, int, bool, int]:
+    """One iteration's estimate, probes, whether its refinement exhausted,
+    and its boundary before refinement."""
     entry_depth = oracle.depth
     chain_rng, refine_rng = streams
-    cache.start_chain()
-    stack = HashStack()
+    chain: list[HashConstraint] = []
+    cache.start_chain(chain)
     depth = 0  # constraints currently on the oracle stack, one per frame
 
     def move_to(index: int) -> None:
-        nonlocal stack, depth
-        while len(stack) < index:
-            constraint = generate_hash(projection, consts.ell, family, chain_rng)
-            stack = stack.extend(constraint)
-            cache.extend(constraint)
+        nonlocal depth
+        while len(chain) < index:
+            chain.append(generate_hash(projection, consts.ell, family, chain_rng))
         for i in range(depth, index):
             oracle.push()
-            oracle.assert_constraint(stack.constraints[i])
+            oracle.assert_constraint(chain[i])
         for _ in range(index, depth):
             oracle.pop()
         depth = index
@@ -456,27 +410,15 @@ def _one_iteration(
     try:
         index, count, probes = find_boundary(probe, hint, max_index)
         move_to(index - 1)
-        fixed = fix_last_hash(
-            oracle,
-            projection,
-            count,
-            stack,
-            index,
-            family,
-            consts.thresh,
-            refine_rng,
-            cache=cache,
+        kept, kept_count, fix_probes, exhausted = fix_last_hash(
+            oracle, projection, count, chain, index, consts.thresh, refine_rng, cache
         )
         move_to(0)
     except BaseException:
         oracle.unwind(entry_depth)
         raise
-    return _IterationOutcome(
-        cell_estimate(fixed.count, fixed.stack),
-        probes + fixed.probes,
-        fixed.outcome is RefinementOutcome.EXHAUSTED,
-        index,
-    )
+    cells = math.prod(c.range_size for c in chain[: index - 1]) * kept.range_size
+    return kept_count.count * cells, probes + fix_probes, exhausted, index
 
 
 def pact_count(
@@ -489,7 +431,8 @@ def pact_count(
     seed: int | None = None,
 ) -> CountResult:
     """Estimate the projected model count within a factor of 1 + epsilon,
-    with confidence at least 1 - delta.
+    with confidence at least 1 - delta.  A count whose unconstrained cell
+    is exact exits early, with that count as its one estimate.
     """
     t0 = time.perf_counter()
     if len(projection) == 0:
@@ -504,42 +447,28 @@ def pact_count(
 
     # the unconstrained count is shared by every iteration
     c0 = saturating_count(oracle, projection, consts.thresh, cache)
-    if c0.is_exact:
-        return CountResult(
-            estimate=c0.count,
-            raw_estimates=(c0.count,),
-            constants=consts,
-            family=family,
-            epsilon=epsilon,
-            delta=delta,
-            seed=seed,
-            early_exit=True,
-            probe_counts=(),
-            exhausted_refinements=0,
-            stats=oracle.stats.minus(base_stats),
-            wall_time=time.perf_counter() - t0,
-        )
-
-    max_index = max_hash_index(projection, family, consts.ell)
     estimates: list[int] = []
     probe_counts: list[int] = []
     exhausted_refinements = 0
-    hint = 1  # where the next search starts: the last iteration's boundary
-    for k in range(consts.itercount):
-        outcome = _one_iteration(
-            oracle,
-            projection,
-            consts,
-            family,
-            iteration_streams(seed, k),
-            hint,
-            max_index,
-            cache,
-        )
-        hint = outcome.boundary
-        estimates.append(outcome.estimate)
-        probe_counts.append(outcome.probes)
-        exhausted_refinements += int(outcome.exhausted)
+    if c0.is_exact:
+        estimates.append(c0.count)
+    else:
+        max_index = max_hash_index(projection, family, consts.ell)
+        hint = 1  # where the next search starts: the last iteration's boundary
+        for k in range(consts.itercount):
+            estimate, probes, exhausted, hint = _one_iteration(
+                oracle,
+                projection,
+                consts,
+                family,
+                iteration_streams(seed, k),
+                hint,
+                max_index,
+                cache,
+            )
+            estimates.append(estimate)
+            probe_counts.append(probes)
+            exhausted_refinements += int(exhausted)
     return CountResult(
         estimate=find_median(estimates),
         raw_estimates=tuple(estimates),
@@ -548,7 +477,7 @@ def pact_count(
         epsilon=epsilon,
         delta=delta,
         seed=seed,
-        early_exit=False,
+        early_exit=c0.is_exact,
         probe_counts=tuple(probe_counts),
         exhausted_refinements=exhausted_refinements,
         stats=oracle.stats.minus(base_stats),

@@ -344,45 +344,3 @@ def satisfied(
     models = [dict(zip(names, row)) for row in zip(*(col.tolist() for col in columns.values()))]
     met = [[eval_hash(c, m) == c.target for m in models] for c in constraints]
     return np.array(met, dtype=bool).reshape(len(constraints), len(models))
-
-
-@dataclass(frozen=True)
-class HashStack:
-    """An ordered chain of constraints plus exact cumulative cell counts.
-
-    cumulative_ranges[i] is the product of the first i range sizes, so the
-    last entry is the total number of cells the chain partitions into.
-    """
-
-    constraints: tuple[HashConstraint, ...] = ()
-    cumulative_ranges: tuple[int, ...] = (1,)
-
-    @classmethod
-    def from_constraints(cls, constraints) -> "HashStack":
-        stack = cls()
-        for c in constraints:
-            stack = stack.extend(c)
-        return stack
-
-    def extend(self, constraint: HashConstraint) -> "HashStack":
-        return HashStack(
-            self.constraints + (constraint,),
-            self.cumulative_ranges
-            + (self.cumulative_ranges[-1] * constraint.range_size,),
-        )
-
-    def replace_last(self, constraint: HashConstraint) -> "HashStack":
-        if not self.constraints:
-            raise ValueError("replace_last on an empty stack")
-        return HashStack(
-            self.constraints[:-1] + (constraint,),
-            self.cumulative_ranges[:-1]
-            + (self.cumulative_ranges[-2] * constraint.range_size,),
-        )
-
-    @property
-    def total_cells(self) -> int:
-        return self.cumulative_ranges[-1]
-
-    def __len__(self) -> int:
-        return len(self.constraints)

@@ -329,9 +329,9 @@ class SubprocessOracle(Oracle):
 
     The handle keeps `print-success` on so every command is acknowledged
     and loads the input script verbatim (minus interactive control
-    commands).  Each read waits at most `query_timeout` seconds and never
-    past `deadline`; a read that runs out kills the solver and raises
-    `OracleTimeout`, and the handle is unusable from then on.
+    commands).  No read waits past `deadline`; one that runs out kills the
+    solver and raises `OracleTimeout`, and the handle is unusable from then
+    on.  A failure while starting up closes what was opened and re-raises.
     """
 
     def __init__(
@@ -339,7 +339,6 @@ class SubprocessOracle(Oracle):
         command: str | Sequence[str] | None = None,
         script: SmtScript | str = "",
         *,
-        query_timeout: float | None = None,
         deadline: float | None = None,
         transcript=None,
     ):
@@ -348,37 +347,39 @@ class SubprocessOracle(Oracle):
             command = default_solver_command()
         self.command = shlex.split(command) if isinstance(command, str) else list(command)
         self.script = parse_declarations(script) if isinstance(script, str) else script
-        self.query_timeout = query_timeout
         self.deadline = deadline
-        self._transcript = None
-        self._owns_transcript = False
-        if transcript is not None:
-            if isinstance(transcript, (str, Path)):
-                self._transcript = open(transcript, "a", encoding="utf-8")
-                self._owns_transcript = True
-            else:
-                self._transcript = transcript
+        self._owns_transcript = isinstance(transcript, (str, Path))
+        if self._owns_transcript:
+            transcript = open(transcript, "a", encoding="utf-8")
+        self._transcript = transcript
+        self._stderr_file = None
+        self._proc = None
+        self._selector = None
         self._buf = b""
         self._reader = SexprReader()
         self._depth = 0
         self._dead = False
-        self._stderr_file = tempfile.TemporaryFile()
         try:
-            self._proc = subprocess.Popen(
-                self.command,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=self._stderr_file,
-            )
-        except OSError as exc:
-            raise SolverCrashed(f"cannot start solver {self.command!r}: {exc}") from exc
-        os.set_blocking(self._proc.stdout.fileno(), False)
-        self._selector = selectors.DefaultSelector()
-        self._selector.register(self._proc.stdout, selectors.EVENT_READ)
-        self._send_expect_success("(set-option :print-success true)")
-        self._send_expect_success("(set-option :produce-models true)")
-        for cmd in self._script_commands():
-            self._send_expect_success(cmd)
+            self._stderr_file = tempfile.TemporaryFile()
+            try:
+                self._proc = subprocess.Popen(
+                    self.command,
+                    stdin=subprocess.PIPE,
+                    stdout=subprocess.PIPE,
+                    stderr=self._stderr_file,
+                )
+            except OSError as exc:
+                raise SolverCrashed(f"cannot start solver {self.command!r}: {exc}") from exc
+            os.set_blocking(self._proc.stdout.fileno(), False)
+            self._selector = selectors.DefaultSelector()
+            self._selector.register(self._proc.stdout, selectors.EVENT_READ)
+            self._send_expect_success("(set-option :print-success true)")
+            self._send_expect_success("(set-option :produce-models true)")
+            for cmd in self._script_commands():
+                self._send_expect_success(cmd)
+        except BaseException:
+            self.close()
+            raise
 
     # -- process plumbing
 
@@ -445,13 +446,17 @@ class SubprocessOracle(Oracle):
         line, _, self._buf = self._buf.partition(b"\n")
         return line.decode(errors="replace")
 
-    def _read_response(self, budget: float | None) -> tuple[object, Form] | None:
-        """One solver response as (sexpr, Form); None when the budget ran out."""
-        deadline = time.monotonic() + budget if budget is not None else None
+    def _reply(self, waiting_for: str) -> tuple[object, Form]:
+        """The next solver response as (sexpr, Form), read before the
+        deadline.  One that does not come in time kills the solver: the
+        session ends with the timeout."""
         while True:
-            line = self._read_line(deadline)
+            line = self._read_line(self.deadline)
             if line is None:
-                return None
+                self._log("#", "timeout: killing the session")
+                self._teardown_process()
+                self._dead = True
+                raise OracleTimeout(f"solver did not answer {waiting_for} in time")
             try:
                 replies = list(iter_top_forms(line + "\n", self._reader))
             except MalformedScript as exc:
@@ -461,25 +466,6 @@ class SubprocessOracle(Oracle):
             if replies:
                 self._log("<", replies[0][1].text)
                 return replies[0]
-
-    def _budget(self) -> float | None:
-        candidates = []
-        if self.query_timeout is not None:
-            candidates.append(self.query_timeout)
-        if self.deadline is not None:
-            candidates.append(self.deadline - time.monotonic())
-        return min(candidates) if candidates else None
-
-    def _reply(self, waiting_for: str) -> tuple[object, Form]:
-        """The next response within the read budget.  One that does not come
-        in time kills the solver: the session ends with the timeout."""
-        resp = self._read_response(self._budget())
-        if resp is None:
-            self._log("#", "timeout: killing the session")
-            self._teardown_process()
-            self._dead = True
-            raise OracleTimeout(f"solver did not answer {waiting_for} in time")
-        return resp
 
     def _send_expect_success(self, cmd: str) -> None:
         self._write(cmd)
@@ -524,12 +510,9 @@ class SubprocessOracle(Oracle):
         self._send_expect_success("(pop 1)")
         self._depth -= 1
 
-    def assert_text(self, assertion: str) -> None:
-        self._send_expect_success(assertion)
-        self.stats.assertions_sent += 1
-
     def assert_constraint(self, constraint) -> None:
-        self.assert_text(render_assertion(constraint))
+        self._send_expect_success(render_assertion(constraint))
+        self.stats.assertions_sent += 1
 
     def check_sat(self) -> SolverResult:
         t0 = time.perf_counter()

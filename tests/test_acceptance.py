@@ -277,12 +277,14 @@ def test_criterion_6_live_solver_smoke():
         inst = build(spec)
         script = parse_declarations(inst.script)
         projection = resolve_projection(script, inst.projection)
-        with SubprocessOracle(command, inst.script, query_timeout=120) as oracle:
+        deadline = time.monotonic() + 120
+        with SubprocessOracle(command, inst.script, deadline=deadline) as oracle:
             base = enumerate_count(oracle, projection)
         ok &= base.status is BaselineStatus.EXACT and base.count == inst.true_count
         good = 0
         for seed in range(1, SMOKE_SEEDS + 1):
-            with SubprocessOracle(command, inst.script, query_timeout=120) as oracle:
+            deadline = time.monotonic() + 120
+            with SubprocessOracle(command, inst.script, deadline=deadline) as oracle:
                 result = pact_count(oracle, projection, seed=seed)
             good += within(result.estimate, inst.true_count)
         ok &= good >= SMOKE_REQUIRED

@@ -2,6 +2,7 @@
 and manifest round trips."""
 
 import sys
+import time
 
 import pytest
 
@@ -30,7 +31,9 @@ def enumerate_script(inst):
     """Count the instance's script with the bundled solver."""
     script = parse_declarations(inst.script)
     projection = resolve_projection(script, inst.projection)
-    with SubprocessOracle(MINISOLVE, inst.script, query_timeout=30) as oracle:
+    with SubprocessOracle(
+        MINISOLVE, inst.script, deadline=time.monotonic() + 30
+    ) as oracle:
         result = enumerate_count(oracle, projection)
     assert result.status is BaselineStatus.EXACT
     return result.count

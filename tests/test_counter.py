@@ -1,6 +1,7 @@
 """Counting-loop tests: frozen constants, boundary search, refinement,
 and end-to-end estimates on sets of known size."""
 
+import hashlib
 import math
 import random
 
@@ -9,9 +10,7 @@ import pytest
 from pact.counter import (
     SATURATED,
     ModelCache,
-    RefinementOutcome,
     SaturatingCount,
-    cell_estimate,
     find_boundary,
     find_median,
     fix_last_hash,
@@ -22,7 +21,7 @@ from pact.counter import (
     saturating_count,
 )
 from pact.errors import ExhaustedIndices, InconsistentOracle, InvalidParameters
-from pact.hashing import Family, HashConstraint, HashStack, Slice, generate_hash
+from pact.hashing import Family, HashConstraint, Slice, generate_hash
 from pact.oracle import InMemoryOracle
 from pact.smtlib import BlockingClause, ProjectionSet, SortedVar
 
@@ -138,7 +137,7 @@ class TestModelCache:
         oracle = IgnoresHashes(p, range(40))
         cache = ModelCache(p)
         c = low_bit_is_zero(8)
-        cache.extend(c)
+        cache.start_chain([c])
         oracle.push()
         oracle.assert_constraint(c)
         with pytest.raises(InconsistentOracle, match="outside the cell"):
@@ -172,14 +171,14 @@ def scan_chain(p, values, family, seed, k, thresh=73, ell=1):
     chain_rng, _ = iteration_streams(seed, k)
     oracle = InMemoryOracle(p, values)
     counts = [saturating_count(oracle, p, thresh)]
-    stack = HashStack()
+    chain = []
     for _ in range(max_hash_index(p, family, ell)):
         c = generate_hash(p, ell, family, chain_rng)
-        stack = stack.extend(c)
+        chain.append(c)
         oracle.push()
         oracle.assert_constraint(c)
         counts.append(saturating_count(oracle, p, thresh))
-    return counts, stack
+    return counts, chain
 
 
 def first_exact(counts):
@@ -279,23 +278,40 @@ class TestMaxIndexAndEstimate:
     def test_max_index_shift(self):
         assert max_hash_index(proj(8), Family.SHIFT, 4) == 3
 
+    @staticmethod
+    def replayed_estimates(family, cells_per_constraint, iterations=5):
+        """The first iterations' estimates, replayed from their keyed
+        streams: the count of the kept constraint's cell, times the cells
+        of the constraints above the boundary and of the kept one."""
+        p = proj(16)
+        values = random.Random(16).sample(range(2**16), 3_000)
+        estimates = []
+        for k in range(iterations):
+            counts, chain = scan_chain(p, values, family, seed=9, k=k, ell=4)
+            index = first_exact(counts)
+            oracle = InMemoryOracle(p, values)
+            for c in chain[: index - 1]:
+                oracle.push()
+                oracle.assert_constraint(c)
+            _, refine_rng = iteration_streams(9, k)
+            kept, kept_count, _, _ = fix_last_hash(
+                oracle, p, counts[index], chain, index, 73, refine_rng
+            )
+            estimates.append(
+                kept_count.count * cells_per_constraint ** (index - 1) * kept.range_size
+            )
+        result = pact_count(InMemoryOracle(p, values), p, family=family, seed=9)
+        return estimates, list(result.raw_estimates[:iterations])
+
     def test_estimate_scales_by_cells(self):
-        rng = random.Random(0)
-        stack = HashStack.from_constraints(
-            generate_hash(proj(8), 1, Family.XOR, rng) for _ in range(4)
-        )
-        assert stack.total_cells == 16
-        assert cell_estimate(SaturatingCount.exact(5), stack) == 80
+        # shift constraints at ell=4 each cut 2^4 cells
+        replayed, counted = self.replayed_estimates(Family.SHIFT, 16)
+        assert replayed == counted
 
     def test_estimate_prime_range(self):
-        rng = random.Random(0)
-        stack = HashStack.from_constraints([generate_hash(proj(8), 4, Family.PRIME, rng)])
-        assert stack.total_cells == 17
-        assert cell_estimate(SaturatingCount.exact(170), stack) == 2890
-
-    def test_saturated_estimate_rejected(self):
-        with pytest.raises(ValueError):
-            cell_estimate(SATURATED, HashStack())
+        # prime constraints at ell=4 each cut 17 cells
+        replayed, counted = self.replayed_estimates(Family.PRIME, 17)
+        assert replayed == counted
 
 
 class TestMedian:
@@ -317,51 +333,52 @@ def prepared_boundary(n, width, family, seed, thresh=73, ell=4):
     oracle = InMemoryOracle(p, range(n))
     rng = random.Random(seed)
     c = generate_hash(p, ell, family, rng)
-    stack = HashStack.from_constraints([c])
     oracle.push()
     oracle.assert_constraint(c)
     count = saturating_count(oracle, p, thresh)
     oracle.pop()
-    return oracle, p, stack, rng, count
+    return oracle, p, [c], rng, count
 
 
 class TestFixLastHash:
     def test_xor_is_untouched(self):
         # 100 solutions: one parity constraint leaves ~50, well under thresh
-        oracle, p, stack, rng, count = prepared_boundary(
+        oracle, p, chain, rng, count = prepared_boundary(
             100, 10, Family.XOR, seed=1, ell=1
         )
         assert count.is_exact
-        fixed = fix_last_hash(oracle, p, count, stack, 1, Family.XOR, 73, rng)
-        assert fixed.outcome is RefinementOutcome.UNCHANGED_XOR
-        assert fixed.probes == 0
+        kept, kept_count, probes, exhausted = fix_last_hash(
+            oracle, p, count, chain, 1, 73, rng
+        )
+        assert (kept, kept_count, probes, exhausted) == (chain[0], count, 0, False)
         assert oracle.depth == 0
-        assert fixed.count == count
 
     def test_prime_exhausts_and_keeps_coarsest(self):
         # n=150: cells at p=17 average ~9, and every coarser candidate
         # (11, 5, 3) still lands far below thresh=73, so the refinement
         # runs out of exponents
-        oracle, p, stack, rng, count = prepared_boundary(
+        oracle, p, chain, rng, count = prepared_boundary(
             150, 10, Family.PRIME, seed=5
         )
         assert count.is_exact
-        fixed = fix_last_hash(oracle, p, count, stack, 1, Family.PRIME, 73, rng)
-        assert fixed.outcome is RefinementOutcome.EXHAUSTED
-        assert fixed.probes == 3
-        assert fixed.count.is_exact
-        assert len(fixed.stack) == 1
-        assert fixed.stack.constraints[0].range_size == 3  # coarsest prime kept
+        kept, kept_count, probes, exhausted = fix_last_hash(
+            oracle, p, count, chain, 1, 73, rng
+        )
+        assert exhausted
+        assert probes == 3
+        assert kept_count.is_exact
+        assert kept.range_size == 3  # coarsest prime kept
         assert oracle.depth == 0
 
     def test_precondition_checks(self):
-        oracle, p, stack, rng, count = prepared_boundary(
+        oracle, p, chain, rng, count = prepared_boundary(
             150, 10, Family.PRIME, seed=5
         )
         with pytest.raises(ValueError):
-            fix_last_hash(oracle, p, SATURATED, stack, 1, Family.PRIME, 73, rng)
-        with pytest.raises(ValueError):
-            fix_last_hash(oracle, p, count, stack, 2, Family.PRIME, 73, rng)
+            fix_last_hash(oracle, p, SATURATED, chain, 1, 73, rng)
+        for index in (0, 2):
+            with pytest.raises(ValueError):
+                fix_last_hash(oracle, p, count, chain, index, 73, rng)
 
 
 class TestPactCount:
@@ -445,6 +462,41 @@ class TestPactCount:
         )
         assert result.exhausted_refinements > 0
         assert n / 1.8 <= result.estimate <= 1.8 * n
+
+    # One 16-bit set of 5,000 values; each row pins a count's median, a
+    # digest of its raw estimates and of its probes per iteration, its
+    # exhausted refinements and its check-sats.
+    PINNED = [
+        (Family.XOR, 1, 4992, "377898c99b89fe03", "2cc3a0933f285cab", 0, 3165),
+        (Family.XOR, 2, 5248, "dbd5bdfbfcf7bfc8", "26083f63962b4ea6", 0, 3126),
+        (Family.XOR, 3, 4992, "5d74ba7c4299d9af", "2e8c6c9f81f70220", 0, 3179),
+        (Family.PRIME, 1, 4760, "b595d58c6b1d1b77", "7453710870cf682e", 1, 4556),
+        (Family.PRIME, 2, 5185, "320178c0a815fa6d", "176c3135104fd787", 0, 4548),
+        (Family.PRIME, 3, 5015, "68b9af7f11b93a66", "26155f880e60bf41", 0, 4564),
+        (Family.SHIFT, 1, 4864, "f85fef356edabd0f", "ed4ec3575dbd3d2e", 0, 4440),
+        (Family.SHIFT, 2, 4608, "0577f7ae4e64626d", "5d99b70918fee135", 0, 4430),
+        (Family.SHIFT, 3, 4736, "f72a1b75a9159079", "4337511d7bdc0840", 0, 4426),
+    ]
+
+    @pytest.mark.parametrize(
+        "family, seed, estimate, raw, probes, exhausted, check_sats", PINNED
+    )
+    def test_pinned_estimates(
+        self, family, seed, estimate, raw, probes, exhausted, check_sats
+    ):
+        def digest(values):
+            return hashlib.sha256(repr(tuple(values)).encode()).hexdigest()[:16]
+
+        p = proj(16)
+        values = random.Random(16).sample(range(2**16), 5_000)
+        result = pact_count(InMemoryOracle(p, values), p, family=family, seed=seed)
+        assert (
+            result.estimate,
+            digest(result.raw_estimates),
+            digest(result.probe_counts),
+            result.exhausted_refinements,
+            result.stats.check_sat_calls,
+        ) == (estimate, raw, probes, exhausted, check_sats)
 
     def test_rejects_bad_arguments(self):
         oracle = InMemoryOracle(proj(4), range(4))

@@ -10,7 +10,6 @@ from pact.errors import RangeExceeded
 from pact.hashing import (
     Family,
     HashConstraint,
-    HashStack,
     Slice,
     eval_hash,
     generate_hash,
@@ -244,53 +243,6 @@ def test_eval_hash_in_range(width, seed, family):
     c = generate_hash(p, ell, family, rng)
     x = rng.getrandbits(width)
     assert 0 <= eval_hash(c, {"v0": x}) < c.range_size
-
-
-# ---------------------------------------------------------------------------
-# stack
-
-
-def _fake(p):
-    return HashConstraint(
-        family=Family.XOR,
-        slices=(Slice("x", 1, 0, 1),),
-        coeffs=(1,),
-        offset=None,
-        range_size=p,
-        target=0,
-        ell=1,
-    )
-
-
-def test_stack_cumulative_ranges():
-    stack = HashStack()
-    assert stack.cumulative_ranges == (1,)
-    for _ in range(3):
-        stack = stack.extend(_fake(2))
-    assert stack.cumulative_ranges == (1, 2, 4, 8)
-
-
-def test_stack_replace_last():
-    stack = HashStack().extend(_fake(17))
-    assert stack.cumulative_ranges == (1, 17)
-    stack = stack.replace_last(_fake(5))
-    assert stack.cumulative_ranges == (1, 5)
-
-
-def test_stack_replace_empty_raises():
-    with pytest.raises(ValueError):
-        HashStack().replace_last(_fake(2))
-
-
-@given(st.lists(st.integers(2, 97), max_size=6))
-def test_stack_invariants(ps):
-    stack = HashStack()
-    for p in ps:
-        stack = stack.extend(_fake(p))
-    assert stack.cumulative_ranges[0] == 1
-    assert len(stack.cumulative_ranges) == len(stack.constraints) + 1
-    for lo, hi in zip(stack.cumulative_ranges, stack.cumulative_ranges[1:]):
-        assert hi > lo
 
 
 # ---------------------------------------------------------------------------

@@ -287,15 +287,16 @@ class TestSubprocess:
             with pytest.raises(ProtocolError):
                 oracle.get_projected_model(lying)
 
-    def test_a_read_timeout_ends_the_session(self, tmp_path):
+    def test_a_spent_deadline_ends_the_session(self, tmp_path):
         flag = tmp_path / "hang"
         log = tmp_path / "wire.log"
         cmd = MINISOLVE + [
             "--hang-flag-file", str(flag), "--hang-seconds", "60",
         ]
-        with make_oracle(command=cmd, query_timeout=0.5, transcript=log) as oracle:
+        with make_oracle(command=cmd, transcript=log) as oracle:
             oracle.push()
             oracle.assert_constraint(BlockingClause(proj(bv("x", 4)), ((0,),)))
+            oracle.deadline = time.monotonic() + 0.5
             flag.touch()
             with pytest.raises(OracleTimeout):
                 oracle.check_sat()
@@ -304,22 +305,6 @@ class TestSubprocess:
                 oracle.check_sat()
             oracle.close()
         assert log.read_text().splitlines()[-1].startswith("# timeout")
-
-    def test_a_spent_deadline_ends_the_session(self, tmp_path):
-        flag = tmp_path / "hang"
-        cmd = MINISOLVE + [
-            "--hang-flag-file", str(flag), "--hang-seconds", "60",
-        ]
-        with make_oracle(command=cmd) as oracle:
-            oracle.push()
-            oracle.assert_constraint(BlockingClause(proj(bv("x", 4)), ((0,),)))
-            oracle.deadline = time.monotonic() + 0.5
-            flag.touch()
-            with pytest.raises(OracleTimeout):
-                oracle.check_sat()
-            assert oracle.pid is None
-            with pytest.raises(SolverCrashed):
-                oracle.check_sat()
 
     def test_immediate_exit_is_a_crash(self):
         with pytest.raises(SolverCrashed):

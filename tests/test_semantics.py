@@ -137,8 +137,10 @@ def test_rendered_text_matches_every_evaluator(family, shape):
         cache = ModelCache(p)
         early, late = rows[::2], rows[1::2]
         cache.add([dict(zip(p.names, row)) for row in early], 0)
+        drawn_chain = []
+        cache.start_chain(drawn_chain)
         for drawn, c in enumerate(constraints, start=1):
-            cache.extend(c)
+            drawn_chain.append(c)
             for i in range(drawn + 1):
                 got = {early[m] for m in cache.members(i)}
                 assert got == reference_survivors(p, early, constraints[:i])
@@ -200,8 +202,7 @@ def test_refinement_candidate_is_checked_by_every_evaluator(family):
     constraints = [generate_hash(p, 4, family, rng) for _ in range(3)]
     cache = ModelCache(p)
     cache.add([dict(zip(p.names, row)) for row in rows], 0)
-    for c in constraints:
-        cache.extend(c)
+    cache.start_chain(constraints)
     for ell in (3, 2, 1):
         candidate = generate_hash(p, ell, family, rng)
         cell = constraints[:2] + [candidate]
