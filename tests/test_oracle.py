@@ -287,7 +287,7 @@ class TestSubprocess:
             with pytest.raises(ProtocolError):
                 oracle.get_projected_model(lying)
 
-    def test_a_spent_deadline_ends_the_session(self, tmp_path):
+    def test_a_read_timeout_ends_the_session(self, tmp_path):
         flag = tmp_path / "hang"
         log = tmp_path / "wire.log"
         cmd = MINISOLVE + [
@@ -305,6 +305,23 @@ class TestSubprocess:
                 oracle.check_sat()
             oracle.close()
         assert log.read_text().splitlines()[-1].startswith("# timeout")
+
+    def test_a_spent_deadline_ends_the_session(self, tmp_path):
+        log = tmp_path / "wire.log"
+        with make_oracle(transcript=log) as oracle:
+            oracle.push()
+            oracle.deadline = time.monotonic() - 1.0
+            start = time.monotonic()
+            with pytest.raises(OracleTimeout):
+                oracle.check_sat()
+            assert time.monotonic() - start < 0.5  # no wait for the reply
+            assert oracle.pid is None
+            with pytest.raises(SolverCrashed):
+                oracle.push()
+            oracle.close()
+        lines = log.read_text().splitlines()
+        assert lines[-2] == "> (check-sat)"
+        assert lines[-1].startswith("# timeout")
 
     def test_immediate_exit_is_a_crash(self):
         with pytest.raises(SolverCrashed):
