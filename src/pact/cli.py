@@ -330,6 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Approximate projected model counting for SMT-LIB2 scripts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    families = [str(f) for f in Family]
 
     def add_io(p):
         p.add_argument("input", help="SMT-LIB2 script")
@@ -338,14 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
             help="projected variable names (space or comma separated), or @file",
         )
         p.add_argument("--solver-cmd", help="solver command line (default: $PACT_SOLVER_CMD)")
-        p.add_argument("--timeout", type=float, default=3600.0, help="time budget in seconds")
+        p.add_argument("--timeout", type=float, help="time budget in seconds")
         p.add_argument("--out", help="append the JSON record to this file")
 
     count = sub.add_parser("count", help="estimate the projected model count")
     add_io(count)
-    count.add_argument("--epsilon", type=float, default=0.8, help="tolerance (default 0.8)")
-    count.add_argument("--delta", type=float, default=0.2, help="confidence slack (default 0.2)")
-    count.add_argument("--family", choices=("xor", "prime", "shift"), default="xor")
+    count.add_argument("--epsilon", type=float, help=f"tolerance (default {RunConfig.epsilon})")
+    count.add_argument("--delta", type=float, help=f"confidence slack (default {RunConfig.delta})")
+    count.add_argument("--family", choices=families)
     count.add_argument("--seed", type=int, help="RNG seed (drawn fresh when omitted)")
 
     baseline = sub.add_parser("baseline", help="enumerate the exact count")
@@ -353,14 +354,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="run the counter over a corpus manifest")
     bench.add_argument("manifest", help="manifest.json produced by `pact corpus`")
-    bench.add_argument("--backend", choices=("memory", "solver"), default="memory")
-    bench.add_argument("--epsilon", type=float, default=0.8)
-    bench.add_argument("--delta", type=float, default=0.2)
-    bench.add_argument("--family", choices=("xor", "prime", "shift"), default="xor")
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--backend", choices=("memory", "solver"))
+    bench.add_argument("--epsilon", type=float)
+    bench.add_argument("--delta", type=float)
+    bench.add_argument("--family", choices=families)
+    bench.add_argument("--seed", type=int)
     bench.add_argument("--solver-cmd")
-    bench.add_argument("--timeout", type=float, default=300.0, help="per-instance budget")
-    bench.add_argument("--jobs", type=int, default=1)
+    bench.add_argument("--timeout", type=float, help="per-instance budget")
+    bench.add_argument("--jobs", type=int)
     bench.add_argument("--out", default="pact-bench", help="output directory")
 
     gen = sub.add_parser("corpus", help="generate a benchmark corpus")
@@ -372,9 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(cls, args: argparse.Namespace, **extra):
-    """A RunConfig or BenchConfig from the parsed options it has fields for."""
+    """A RunConfig or BenchConfig from the parsed options it has fields for;
+    an option left out parses as None and takes the field's default."""
     names = {f.name for f in fields(cls)}
-    return cls(**{k: v for k, v in vars(args).items() if k in names}, **extra)
+    return cls(**{k: v for k, v in vars(args).items() if k in names and v is not None}, **extra)
 
 
 def main(argv=None) -> int:

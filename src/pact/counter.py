@@ -32,8 +32,8 @@ from .hashing import (
     Family,
     HashConstraint,
     generate_hash,
+    range_size,
     satisfied,
-    smallest_prime_above,
     value_columns,
 )
 from .oracle import Oracle, QueryStats
@@ -290,12 +290,7 @@ def find_boundary(
 def max_hash_index(projection: ProjectionSet, family: Family, ell: int) -> int:
     """Deepest chain length worth probing: one past the point where the
     partition has at least as many cells as the whole projected domain."""
-    if family is Family.XOR:
-        p = 2
-    elif family is Family.PRIME:
-        p = smallest_prime_above(1 << ell)
-    else:
-        p = 1 << ell
+    p = range_size(family, ell)
     domain = 1 << projection.total_width
     m, cells = 0, 1
     while cells < domain:

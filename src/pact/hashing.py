@@ -5,7 +5,7 @@ hash constraint is a random function of the slice vector whose range has
 size p, pinned to a random target value.  Three families:
 
   XOR    parity of a random subset of the individual projection bits
-         (p = 2, operates on 1-bit slices)
+         (p = 2; one slice per variable, its coefficient a mask of its bits)
   PRIME  (sum a_i x_i + b) mod p with p the smallest prime above 2^ell
   SHIFT  top ell bits of (sum a_i x_i + b) mod 2^wbar, p = 2^ell
 
@@ -57,7 +57,7 @@ class Slice:
 class HashConstraint:
     family: Family
     slices: tuple[Slice, ...]
-    coeffs: tuple[int, ...]
+    coeffs: tuple[int, ...]  # XOR: a mask over its slice's bits, low bit first
     offset: int | None  # b; absent for XOR
     range_size: int  # p: number of cells this constraint splits into
     target: int  # alpha
@@ -65,19 +65,18 @@ class HashConstraint:
     widened_width: int | None = None  # arithmetic width for PRIME/SHIFT
 
     @functools.cached_property
-    def packed(self) -> np.ndarray | None:
-        """The numbers `hash_values` reads, or None when the arithmetic needs
-        more than 64 bits.  XOR: one mask per variable, in slice order, of
-        the bits whose coefficient is 1.  PRIME and SHIFT: one coefficient
+    def packed(self) -> np.ndarray:
+        """The numbers `satisfied` reads.  XOR: one mask per variable, in
+        slice order, of its selected bits.  PRIME and SHIFT: one coefficient
         per slice, then the offset (mod p for PRIME).  The dtype is the
-        narrowest that keeps the arithmetic exact: for PRIME it holds the
-        whole sum, so one mod at the end suffices; for SHIFT it has at least
-        wbar bits, so its wraparound is exact mod 2^wbar."""
+        narrowest that keeps the arithmetic exact, object (Python ints) past
+        64 bits: for PRIME it holds the whole sum, so one mod at the end
+        suffices; for SHIFT it has at least wbar bits, so its wraparound is
+        exact mod 2^wbar."""
         if self.family is Family.XOR:
             masks = dict.fromkeys((sl.var for sl in self.slices), 0)
             for coeff, sl in zip(self.coeffs, self.slices):
-                if coeff:
-                    masks[sl.var] |= 1 << sl.lo
+                masks[sl.var] |= coeff << sl.lo
             values = list(masks.values())
             bits = max(sl.parent_width for sl in self.slices)
         elif self.family is Family.PRIME:
@@ -87,12 +86,11 @@ class HashConstraint:
             bits = bound.bit_length()
         else:
             values, bits = [*self.coeffs, self.offset], self.widened_width
-        dtype = column_dtype(bits)
-        return None if dtype == object else np.array(values, dtype=dtype)
+        return np.array(values, dtype=column_dtype(bits))
 
     @functools.cached_property
     def layout(self) -> tuple[tuple[str, slice, np.ndarray, np.ndarray], ...]:
-        """How `hash_values` cuts the columns: per variable, in slice order,
+        """How `satisfied` cuts the columns: per variable, in slice order,
         its name, the positions of its slices in `coeffs`, and their shifts
         and masks as (slices x 1) arrays in the variable's column dtype."""
         return _layout(self.slices)
@@ -129,7 +127,7 @@ def column_dtype(width: int) -> np.dtype:
 
 def value_columns(widths: Sequence[int], rows: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
     """One column per variable of `rows`, value tuples in variable order,
-    each at its width's `column_dtype`: the layout `hash_values` reads."""
+    each at its width's `column_dtype`: the layout `satisfied` reads."""
     return [
         np.fromiter((row[j] for row in rows), dtype=column_dtype(w), count=len(rows))
         for j, w in enumerate(widths)
@@ -203,11 +201,6 @@ def smallest_prime_above(n: int) -> int:
         candidate += 2
 
 
-def _widened_width_prime(ell: int, d: int) -> int:
-    # full sum fits in 2*ell + d bits: each term < 2^(2*ell+1), d terms
-    return 2 * ell + d
-
-
 def _widened_width_shift(slices: tuple[Slice, ...], ell: int) -> int:
     # 2*w_max in the normal case; the max() keeps the top-ell extract
     # well-formed (and the family precondition wbar >= w + ell - 1) when
@@ -216,25 +209,41 @@ def _widened_width_shift(slices: tuple[Slice, ...], ell: int) -> int:
     return max(2 * w_max, w_max + ell - 1)
 
 
+def range_size(family: Family, ell: int) -> int:
+    """p, the number of cells a constraint drawn at exponent `ell` splits
+    into: 2 for XOR, the smallest prime above 2^ell for PRIME, 2^ell for SHIFT."""
+    if family is Family.XOR:
+        return 2
+    if family is Family.PRIME:
+        return smallest_prime_above(1 << ell)
+    return 1 << ell
+
+
 def generate_hash(
     projection: ProjectionSet, ell: int, family: Family, rng: random.Random
 ) -> HashConstraint:
     """Draw one constraint; a fresh target is sampled with every call."""
+    p = range_size(family, ell)
     if family is Family.XOR:
-        slices = slice_projection(projection, 1)
-        mask = rng.getrandbits(len(slices))
+        # one mask over all projection bits, split low variable first
+        n = projection.total_width
+        slices = slice_projection(projection, n)
+        mask = rng.getrandbits(n)
+        coeffs = []
+        for sl in slices:
+            coeffs.append(mask & ((1 << sl.width) - 1))
+            mask >>= sl.width
         return HashConstraint(
             family=family,
             slices=slices,
-            coeffs=tuple((mask >> i) & 1 for i in range(len(slices))),
+            coeffs=tuple(coeffs),
             offset=None,
-            range_size=2,
+            range_size=p,
             target=rng.getrandbits(1),
             ell=1,
         )
     slices = slice_projection(projection, ell)
     if family is Family.PRIME:
-        p = smallest_prime_above(1 << ell)
         return HashConstraint(
             family=family,
             slices=slices,
@@ -243,7 +252,8 @@ def generate_hash(
             range_size=p,
             target=rng.randrange(p),
             ell=ell,
-            widened_width=_widened_width_prime(ell, len(slices)),
+            # the full sum fits: each of the d terms is below 2^(2*ell+1)
+            widened_width=2 * ell + len(slices),
         )
     if family is Family.SHIFT:
         wbar = _widened_width_shift(slices, ell)
@@ -252,7 +262,7 @@ def generate_hash(
             slices=slices,
             coeffs=tuple(rng.getrandbits(wbar) for _ in slices),
             offset=rng.getrandbits(wbar),
-            range_size=1 << ell,
+            range_size=p,
             target=rng.getrandbits(ell),
             ell=ell,
             widened_width=wbar,
@@ -268,11 +278,7 @@ def eval_hash(constraint: HashConstraint, model: Mapping[str, int]) -> int:
     """
     values = (s.value(model[s.var]) for s in constraint.slices)
     if constraint.family is Family.XOR:
-        parity = 0
-        for coeff, v in zip(constraint.coeffs, values):
-            if coeff:
-                parity ^= v
-        return parity
+        return sum((coeff & v).bit_count() for coeff, v in zip(constraint.coeffs, values)) & 1
     total = constraint.offset
     for coeff, v in zip(constraint.coeffs, values):
         total += coeff * v
@@ -283,64 +289,45 @@ def eval_hash(constraint: HashConstraint, model: Mapping[str, int]) -> int:
     return (total % (1 << wbar)) >> (wbar - constraint.ell)
 
 
-def hash_values(
-    constraints: Sequence[HashConstraint], columns: Mapping[str, np.ndarray]
-) -> np.ndarray | None:
-    """Hash values of several constraints on many models at once.
-
-    The constraints share one family and one slicing, as the constraints of
-    a chain drawn at one range exponent do.  `columns` maps every projection
-    variable to an unsigned array with one value per model, as
-    `value_columns` builds them.  Row k of the result holds constraint k's
-    hash value on each model, in the dtype of the constraints' `packed`
-    (uint8 for XOR).  Returns None when a column holds Python ints or
-    64-bit arithmetic can't hold the computation.
-    """
-    rows = [c.packed for c in constraints]
-    if any(row is None for row in rows) or any(col.dtype.kind != "u" for col in columns.values()):
-        return None
-    packed = rows[0][None, :] if len(rows) == 1 else np.stack(rows)
-    first = constraints[0]
-    if first.family is Family.XOR:
-        # each variable's parity of its selected bits, in bitwise_count's uint8
-        parity = None
-        for j, (name, _at, _lo, _mask) in enumerate(first.layout):
-            col = columns[name]
-            ones = np.bitwise_count(packed[:, j : j + 1].astype(col.dtype, copy=False) & col)
-            parity = ones if parity is None else parity ^ ones
-        parity &= 1
-        return parity
-    dtype = packed.dtype
-    total = packed[:, -1:]  # the offsets
-    for name, at, lo, mask in first.layout:
-        # every slice of the variable at once, slices x models; the shift
-        # runs at the column's width, the rest at the arithmetic's
-        part = (columns[name] >> lo).astype(dtype, copy=False)
-        part &= mask.astype(dtype, copy=False)
-        total = total + np.einsum("ks,sn->kn", packed[:, at], part)
-    if first.family is Family.PRIME:
-        total %= dtype.type(first.range_size)
-        return total
-    wbar = first.widened_width
-    total &= dtype.type((1 << wbar) - 1)
-    total >>= dtype.type(wbar - first.ell)
-    return total
-
-
 def satisfied(
     constraints: Sequence[HashConstraint], columns: Mapping[str, np.ndarray]
 ) -> np.ndarray:
-    """Whether each model meets each constraint, as a boolean array shaped
-    like `hash_values`.
+    """Whether each model meets each constraint: row k of the result holds
+    constraint k's verdict on each model.
 
-    Vectorized where `hash_values` can be; otherwise `eval_hash` decides,
-    model by model, which also takes columns of Python ints (object arrays).
+    The constraints share one family and one slicing, as the constraints of
+    a chain drawn at one range exponent do.  `columns` maps every projection
+    variable to an array with one value per model, as `value_columns` builds
+    them.  Hash values are computed in the dtype of the constraints'
+    `packed`; past 64 bits that is object, whose loops run the same code on
+    Python ints.
     """
-    values = hash_values(constraints, columns)
-    if values is not None:
-        targets = np.array([c.target for c in constraints], dtype=values.dtype)
-        return values == targets[:, None]
-    names = list(columns)
-    models = [dict(zip(names, row)) for row in zip(*(col.tolist() for col in columns.values()))]
-    met = [[eval_hash(c, m) == c.target for m in models] for c in constraints]
-    return np.array(met, dtype=bool).reshape(len(constraints), len(models))
+    rows = [c.packed for c in constraints]
+    packed = rows[0][None, :] if len(rows) == 1 else np.stack(rows)
+    first = constraints[0]
+    if first.family is Family.XOR:
+        # each variable's parity of its selected bits
+        values = None
+        for j, (name, _at, _lo, _mask) in enumerate(first.layout):
+            col = columns[name]
+            ones = np.bitwise_count(packed[:, j : j + 1].astype(col.dtype, copy=False) & col)
+            values = ones if values is None else values ^ ones
+        values &= 1
+    else:
+        dtype = packed.dtype
+        values = packed[:, -1:]  # the offsets
+        for name, at, lo, mask in first.layout:
+            # every slice of the variable at once, slices x models, cut at
+            # the column's width and summed at the arithmetic's
+            part = columns[name] >> lo
+            part &= mask
+            part = part.astype(dtype, copy=False)
+            values = values + np.einsum("ks,sn->kn", packed[:, at], part)
+        if first.family is Family.PRIME:
+            values %= first.range_size
+        else:
+            wbar = first.widened_width
+            values &= (1 << wbar) - 1
+            values >>= wbar - first.ell
+    targets = np.array([c.target for c in constraints], dtype=values.dtype)
+    return values == targets[:, None]

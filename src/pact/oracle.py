@@ -184,9 +184,9 @@ class InMemoryOracle(Oracle):
     downstream result is deterministic.  A push shares the top array; a
     constraint replaces it with its survivors.  Each variable's values are
     one column at the narrowest unsigned dtype of its width
-    (`hashing.value_columns`).  Constraint filtering is vectorized with
-    numpy where slice arithmetic fits in 64 bits and falls back to the
-    scalar `eval_hash` otherwise (`hashing.satisfied`).
+    (`hashing.value_columns`).  Constraints are filtered by
+    `hashing.satisfied`, vectorized at every width: in object dtype, on
+    Python ints, where the arithmetic needs more than 64 bits.
     """
 
     def __init__(

@@ -329,11 +329,11 @@ def _bits(value: int, width: int) -> str:
     return "#b" + format(value, f"0{width}b")
 
 
-def _slice_term(sl) -> str:
+def _extract(sl, lo: int, hi: int) -> str:
     name = quote_symbol(sl.var)
-    if sl.lo == 0 and sl.hi == sl.parent_width:
+    if lo == 0 and hi == sl.parent_width:
         return name
-    return f"((_ extract {sl.hi - 1} {sl.lo}) {name})"
+    return f"((_ extract {hi - 1} {lo}) {name})"
 
 
 def _extended(term: str, from_width: int, to_width: int) -> str:
@@ -346,7 +346,7 @@ def _render_linear_sum(constraint: "HashConstraint") -> str:
     """(bvadd (bvmul a_i x_i') ... b) at the widened width."""
     width = constraint.widened_width
     parts = [
-        f"(bvmul {_bits(coeff, width)} {_extended(_slice_term(sl), sl.hi - sl.lo, width)})"
+        f"(bvmul {_bits(coeff, width)} {_extended(_extract(sl, sl.lo, sl.hi), sl.width, width)})"
         for coeff, sl in zip(constraint.coeffs, constraint.slices)
     ]
     parts.append(_bits(constraint.offset, width))
@@ -377,10 +377,11 @@ def render_assertion(constraint) -> str:
 
     family = constraint.family
     if family is Family.XOR:
-        bits = [
-            _slice_term(sl)
+        bits = [  # one term per bit of the slice that its mask selects
+            _extract(sl, sl.lo + i, sl.lo + i + 1)
             for coeff, sl in zip(constraint.coeffs, constraint.slices)
-            if coeff
+            for i in range(sl.width)
+            if coeff >> i & 1
         ]
         if not bits:
             return "(assert true)" if constraint.target == 0 else "(assert false)"

@@ -172,28 +172,41 @@ def test_generate_xor_domains():
     c = generate_hash(p, 1, Family.XOR, random.Random(0))
     assert c.family is Family.XOR
     assert c.range_size == 2
-    assert len(c.slices) == 11 and all(s.width == 1 for s in c.slices)
-    assert all(a in (0, 1) for a in c.coeffs)
+    assert c.slices == slice_projection(p, 8)  # one whole-variable slice each
+    assert [sl.width for sl in c.slices] == [8, 3]
+    assert all(0 <= a < 2**sl.width for a, sl in zip(c.coeffs, c.slices))
     assert c.target in (0, 1)
     assert c.offset is None
+    assert len(generate_hash(proj(32), 1, Family.XOR, random.Random(0)).slices) == 1
 
 
-@pytest.mark.parametrize("width", [20, 70])
-def test_xor_masks_select_every_bit_about_half_the_time(width):
+@pytest.mark.parametrize("widths", [(20,), (70,), (20, 20)], ids=lambda w: "+".join(map(str, w)))
+def test_xor_masks_select_every_bit_about_half_the_time(widths):
     """Every bit of an xor mask is an independent fair coin, so over N draws
     the number of masks selecting a given bit is Binomial(N, 1/2).  By
     Hoeffding, P(|count - N/2| >= t) <= 2 exp(-2 t^2 / N): with N = 400 and
     t = 60 that is 2 exp(-18) < 3.1e-8 per bit, and under 2.2e-6 over all 70
     bits by the union bound.  A draw that never selects some bit reads 0
-    there, 200 from N/2."""
+    there, 200 from N/2.  With two variables, bit i of one mask equals bit i
+    of the other with probability 1/2 as well; a split that gave both the
+    same bits would agree in all N draws.  The masks, joined low variable
+    first, are the one `getrandbits` of all the bits that a twin stream
+    gives, then the target: the draw order every estimate depends on."""
     n_draws, t = 400, 60
-    p = proj(width)
-    rng = random.Random(f"xor-bits/{width}")
-    selected = [0] * width
+    p = proj(*widths)
+    rng, twin = random.Random(f"xor-bits/{widths}"), random.Random(f"xor-bits/{widths}")
+    selected = [0] * p.total_width
+    agree = [0] * min(widths)
     for _ in range(n_draws):
         c = generate_hash(p, 1, Family.XOR, rng)
-        selected = [k + coeff for k, coeff in zip(selected, c.coeffs)]
-    assert all(abs(k - n_draws / 2) < t for k in selected), selected
+        assert len(c.slices) == len(widths)
+        joined = sum(mask << sum(widths[:j]) for j, mask in enumerate(c.coeffs))
+        assert joined == twin.getrandbits(p.total_width)
+        assert c.target == twin.getrandbits(1)
+        selected = [k + (joined >> i & 1) for i, k in enumerate(selected)]
+        agree = [k + (c.coeffs[0] >> i & 1 == c.coeffs[-1] >> i & 1) for i, k in enumerate(agree)]
+    counts = selected + agree if len(widths) == 2 else selected
+    assert all(abs(k - n_draws / 2) < t for k in counts), counts
 
 
 def test_generate_prime_domains():

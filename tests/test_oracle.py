@@ -183,7 +183,7 @@ def test_vectorized_filter_matches_reference(data):
 def test_count_upto_matches_brute_force(family, widths):
     """Enumerate-and-block over live-index frames agrees with brute force
     after random hash stacks and a partial blocking clause.  A 70-bit
-    variable takes the scalar eval_hash path."""
+    variable is filtered on Python ints (object columns)."""
     p = proj(bv("x", widths[0]), bv("y", widths[1]))
     rng = random.Random(f"{family}/{widths}")
     rows = {(rng.getrandbits(widths[0]), rng.getrandbits(widths[1])) for _ in range(250)}

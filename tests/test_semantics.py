@@ -1,9 +1,9 @@
 """Differential check of the hash and blocking-clause semantics.
 
 The rendered SMT-LIB2 text is what a solver sees; `eval_hash` is the
-reference; `hashing.satisfied` is the vectorized evaluator the in-memory
-oracle and the counter's model cache share; the cache decides cell
-membership along a chain without asking any oracle.  All four must agree.
+reference; `hashing.satisfied` is the vectorized evaluator, at every width,
+that the in-memory oracle and the counter's model cache share; the cache
+decides cell membership along a chain without asking any oracle.  All four must agree.
 The rendered text is judged by minisolve's `Engine`, evaluated in-process
 over a chosen set of points rather than a full grid, so widths above 64
 bits are covered too.
@@ -19,7 +19,6 @@ from pact.hashing import (
     Family,
     eval_hash,
     generate_hash,
-    hash_values,
     satisfied,
     value_columns,
 )
@@ -99,10 +98,10 @@ def chain(p, family, rng, length):
 
 
 def fits_64_bits(c):
-    """Whether 64 bits hold the constraint's arithmetic, so the vectorized
-    kernel takes it: its columns fit, a PRIME sum stays below its bound
-    p + max coefficient x sum of (2^w - 1) < 2^64 (it is reduced once, at
-    the end), and a SHIFT sum has wbar <= 64 bits."""
+    """Whether 64 bits hold the constraint's arithmetic: its columns fit, a
+    PRIME sum stays below its bound p + max coefficient x sum of (2^w - 1)
+    < 2^64 (it is reduced once, at the end), and a SHIFT sum has wbar <= 64
+    bits.  Past that, the kernel computes on Python ints."""
     if max(sl.parent_width for sl in c.slices) > 64:
         return False
     if c.family is Family.PRIME:
@@ -128,10 +127,6 @@ def test_rendered_text_matches_every_evaluator(family, shape):
             if prefix:
                 met = satisfied(prefix, cols).all(axis=0)
                 assert {row for row, keep in zip(rows, met) if keep} == expected
-        # the vectorized path wherever 64 bits hold the arithmetic, else the fallback
-        vectorized = hash_values(constraints, cols) is not None
-        assert vectorized == all(fits_64_bits(c) for c in constraints)
-
         # the cache as a count drives it: constraints drawn one at a time,
         # cells probed in between, and models found deep in the chain
         cache = ModelCache(p)
@@ -176,19 +171,18 @@ def test_shift_sums_at_the_dtype_edges(widths, ell, wbar):
     rows = points(widths, rng)
     cell = [generate_hash(p, ell, Family.SHIFT, rng) for _ in range(3)]
     assert cell[0].widened_width == wbar
-    assert hash_values(cell, columns(p, rows)) is not None
     assert vectorized_survivors(p, rows, cell) == reference_survivors(p, rows, cell)
 
 
 @pytest.mark.parametrize("widths, ell", [((64,), 32), ((8, 33), 33)])
-def test_prime_sums_past_64_bits_fall_back(widths, ell):
-    """A PRIME draw whose sum can pass 2^64 goes to `eval_hash`."""
+def test_prime_sums_past_64_bits_run_on_python_ints(widths, ell):
+    """A PRIME draw whose sum can pass 2^64 is summed in object dtype."""
     p = projection(widths)
     rng = random.Random(f"prime-edge/{widths}")
     rows = points(widths, rng)
     draws = (generate_hash(p, ell, Family.PRIME, rng) for _ in range(100))
     cell = [next(c for c in draws if not fits_64_bits(c))]
-    assert hash_values(cell, columns(p, rows)) is None
+    assert cell[0].packed.dtype == object
     assert vectorized_survivors(p, rows, cell) == reference_survivors(p, rows, cell)
 
 

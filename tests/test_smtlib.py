@@ -172,6 +172,7 @@ def test_read_projection_file(tmp_path):
 
 SCRIPT = parse_declarations(
     "(declare-const x (_ BitVec 8)) (declare-const y (_ BitVec 4)) (declare-fun f () Float32)"
+    " (declare-const b Bool)"
 )
 
 
@@ -187,8 +188,9 @@ def test_resolve_projection_unknown_name():
 
 
 def test_resolve_projection_non_bitvector():
-    with pytest.raises(NonDiscreteProjection):
-        resolve_projection(SCRIPT, ["f"])
+    for name in ("f", "b"):  # a float and a Bool
+        with pytest.raises(NonDiscreteProjection):
+            resolve_projection(SCRIPT, [name])
 
 
 def test_resolve_projection_dedupes():
