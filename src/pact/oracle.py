@@ -11,6 +11,7 @@ text encodes.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import os
 import selectors
@@ -19,6 +20,7 @@ import subprocess
 import tempfile
 import time
 from abc import ABC, abstractmethod
+from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -127,7 +129,7 @@ class Oracle(ABC):
                 self.assert_constraint(known)
                 n = len(known)
             while thresh is None or n < thresh:
-                if self.deadline is not None and time.monotonic() >= self.deadline:
+                if self._deadline_spent():
                     raise OracleTimeout("time budget spent while counting a cell")
                 result = self.check_sat()
                 if result is SolverResult.UNSAT:
@@ -161,14 +163,21 @@ class Oracle(ABC):
         except PactError:
             pass
 
+    def _deadline_spent(self) -> bool:
+        return self.deadline is not None and time.monotonic() >= self.deadline
+
     def close(self) -> None:
         pass
 
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc):
-        self.close()
+    def __exit__(self, exc_type, exc, tb):
+        try:
+            self.close()
+        except PactError:
+            if exc_type is None:
+                raise  # else the error in flight is the one to report
         return False
 
 
@@ -324,14 +333,36 @@ def default_solver_command() -> str:
     return os.environ.get(SOLVER_ENV_VAR) or DEFAULT_SOLVER
 
 
+# What a subprocess handle lets pile up between reads, well under a pipe's
+# 64 KiB.  A flush always finds the solver's input pipe empty, and the acks
+# it owes fit in its output pipe, so neither side blocks on a full pipe
+# while the other waits for it.
+_MAX_OWED_ACKS = 256
+_MAX_UNFLUSHED_BYTES = 16384
+
+
 class SubprocessOracle(Oracle):
     """Client for any SMT-LIB2 solver process on stdin/stdout.
 
     The handle keeps `print-success` on so every command is acknowledged
     and loads the input script verbatim (minus interactive control
-    commands).  No read waits past `deadline`; one that runs out kills the
-    solver and raises `OracleTimeout`, and the handle is unusable from then
-    on.  A failure while starting up closes what was opened and re-raises.
+    commands).  A command whose only reply is `success` (the handshake, the
+    script load, push, pop, assert) is buffered and not waited for; its ack
+    is owed.  The buffer is flushed once, just before a read, and a command
+    that answers (check-sat, get-value) first reads the owed acks, in
+    order.  So a command the solver rejects raises `ProtocolError`, naming
+    it, at the next answer, or in `close()` when nothing follows, and that
+    ends the session: the commands after it were sent as if it had
+    succeeded.  The constructor reads the load's acks before it returns.
+    What is in flight is capped: once 256 acks are owed or 16 KiB of
+    commands are unflushed, the owed acks are read before the next command
+    is buffered.
+
+    No read waits past `deadline`; one that runs out kills the solver and
+    raises `OracleTimeout`, and the handle is unusable from then on.  A
+    failure while starting up closes what was opened and re-raises.
+    `stats.solver_time` is the time spent in check-sat and get-value,
+    including the owed acks read there.
     """
 
     def __init__(
@@ -357,8 +388,9 @@ class SubprocessOracle(Oracle):
         self._selector = None
         self._buf = b""
         self._reader = SexprReader()
+        self._unflushed = bytearray()
+        self._owed: deque[str] = deque()  # commands whose `success` is not read yet
         self._depth = 0
-        self._dead = False
         try:
             self._stderr_file = tempfile.TemporaryFile()
             try:
@@ -373,11 +405,13 @@ class SubprocessOracle(Oracle):
             os.set_blocking(self._proc.stdout.fileno(), False)
             self._selector = selectors.DefaultSelector()
             self._selector.register(self._proc.stdout, selectors.EVENT_READ)
-            self._send_expect_success("(set-option :print-success true)")
-            self._send_expect_success("(set-option :produce-models true)")
+            self._send("(set-option :print-success true)")
+            self._send("(set-option :produce-models true)")
             for cmd in self._script_commands():
-                self._send_expect_success(cmd)
+                self._send(cmd)
+            self._drain()
         except BaseException:
+            self._teardown_process()  # nothing is read on the way out
             self.close()
             raise
 
@@ -410,18 +444,51 @@ class SubprocessOracle(Oracle):
         except Exception:
             return ""
 
+    def _crashed(self, what: str) -> SolverCrashed:
+        """End the session on a dead solver; the error to raise."""
+        detail = f"{what}; stderr: {self._stderr_tail()}"
+        self._teardown_process()
+        return SolverCrashed(detail)
+
     def _write(self, text: str) -> None:
-        if self._dead or self._proc is None or self._proc.stdin.closed:
+        """Buffer one command; it goes out with the next flush."""
+        if self._proc is None:
             raise SolverCrashed("solver handle is no longer usable")
         self._log(">", text)
+        self._unflushed += text.encode() + b"\n"
+
+    def _flush(self) -> None:
+        if self._unflushed:
+            try:
+                self._proc.stdin.write(self._unflushed)
+                self._proc.stdin.flush()
+            except OSError as exc:  # BrokenPipeError among them
+                raise self._crashed(f"solver pipe broke: {exc}") from exc
+            self._unflushed.clear()
+
+    def _send(self, cmd: str) -> None:
+        """Buffer a command whose only reply is `success`; its ack is owed."""
+        if (
+            len(self._owed) >= _MAX_OWED_ACKS
+            or len(self._unflushed) + len(cmd) >= _MAX_UNFLUSHED_BYTES
+        ):
+            self._drain()
+        self._write(cmd)
+        self._owed.append(cmd)
+
+    def _drain(self) -> None:
+        """Flush, then read every owed ack in order.  A reply other than
+        `success` ends the session."""
+        self._flush()
         try:
-            self._proc.stdin.write(text.encode() + b"\n")
-            self._proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
-            self._dead = True
-            raise SolverCrashed(
-                f"solver pipe broke: {exc}; stderr: {self._stderr_tail()}"
-            ) from exc
+            while self._owed:
+                cmd = self._owed.popleft()
+                answer, form = self._reply(cmd)
+                if answer != "success":
+                    raise ProtocolError(f"expected success for {cmd!r}, got {form.text!r}")
+        except ProtocolError:
+            self._teardown_process()
+            raise
 
     def _read_line(self, deadline: float | None) -> str | None:
         while b"\n" not in self._buf:
@@ -438,25 +505,21 @@ class SubprocessOracle(Oracle):
             except BlockingIOError:
                 continue
             if chunk == b"":
-                self._dead = True
-                raise SolverCrashed(
-                    f"solver exited unexpectedly; stderr: {self._stderr_tail()}"
-                )
+                raise self._crashed("solver exited unexpectedly")
             self._buf += chunk
         line, _, self._buf = self._buf.partition(b"\n")
         return line.decode(errors="replace")
 
     def _reply(self, waiting_for: str) -> tuple[object, Form]:
-        """The next solver response as (sexpr, Form), read before the
-        deadline.  One that does not come in time kills the solver: the
-        session ends with the timeout."""
+        """The next solver response, to the command `waiting_for`, as
+        (sexpr, Form), read before the deadline.  One that does not come in
+        time kills the solver: the session ends with the timeout."""
         while True:
             line = self._read_line(self.deadline)
             if line is None:
                 self._log("#", "timeout: killing the session")
                 self._teardown_process()
-                self._dead = True
-                raise OracleTimeout(f"solver did not answer {waiting_for} in time")
+                raise OracleTimeout(f"solver did not answer {waiting_for!r} in time")
             try:
                 replies = list(iter_top_forms(line + "\n", self._reader))
             except MalformedScript as exc:
@@ -467,13 +530,11 @@ class SubprocessOracle(Oracle):
                 self._log("<", replies[0][1].text)
                 return replies[0]
 
-    def _send_expect_success(self, cmd: str) -> None:
-        self._write(cmd)
-        answer, form = self._reply(repr(cmd))
-        if answer != "success":
-            raise ProtocolError(f"expected success for {cmd!r}, got {form.text!r}")
-
     def _teardown_process(self) -> None:
+        """End the session: kill the solver; the handle is unusable after,
+        and owes and sends nothing."""
+        self._owed.clear()
+        self._unflushed.clear()
         if self._selector is not None:
             self._selector.close()
             self._selector = None
@@ -501,24 +562,25 @@ class SubprocessOracle(Oracle):
         return self._proc.pid if self._proc else None
 
     def push(self) -> None:
-        self._send_expect_success("(push 1)")
+        self._send("(push 1)")
         self._depth += 1
 
     def pop(self) -> None:
         if self._depth == 0:
             raise StackUnderflow("pop at assertion-stack depth 0")
-        self._send_expect_success("(pop 1)")
+        self._send("(pop 1)")
         self._depth -= 1
 
     def assert_constraint(self, constraint) -> None:
-        self._send_expect_success(render_assertion(constraint))
+        self._send(render_assertion(constraint))
         self.stats.assertions_sent += 1
 
     def check_sat(self) -> SolverResult:
         t0 = time.perf_counter()
         self._write("(check-sat)")
         try:
-            answer, form = self._reply("check-sat")
+            self._drain()
+            answer, form = self._reply("(check-sat)")
         finally:
             self.stats.check_sat_calls += 1
             self.stats.solver_time += time.perf_counter() - t0
@@ -528,10 +590,12 @@ class SubprocessOracle(Oracle):
 
     def get_projected_model(self, projection: ProjectionSet) -> dict[str, int]:
         names = " ".join(quote_symbol(n) for n in projection.names)
+        cmd = f"(get-value ({names}))"
         t0 = time.perf_counter()
-        self._write(f"(get-value ({names}))")
+        self._write(cmd)
         try:
-            pairs, form = self._reply("get-value")
+            self._drain()
+            pairs, form = self._reply(cmd)
         finally:
             self.stats.solver_time += time.perf_counter() - t0
         text = form.text
@@ -557,18 +621,23 @@ class SubprocessOracle(Oracle):
         return out
 
     def close(self) -> None:
-        if self._proc is not None and not self._dead:
-            try:
+        """Read the owed acks, so a rejected last pop still raises, then
+        end the solver.  With the deadline spent they are not read: no
+        answer depends on them, and no read waits past the deadline."""
+        try:
+            if self._proc is not None and not self._deadline_spent():
+                self._drain()
                 self._write("(exit)")
-            except SolverCrashed:
-                pass
-        self._teardown_process()
-        if self._stderr_file is not None:
-            self._stderr_file.close()
-            self._stderr_file = None
-        if self._owns_transcript and self._transcript is not None:
-            self._transcript.close()
-            self._transcript = None
+                with contextlib.suppress(SolverCrashed):
+                    self._flush()  # a solver already gone needs no exit
+        finally:
+            self._teardown_process()
+            if self._stderr_file is not None:
+                self._stderr_file.close()
+                self._stderr_file = None
+            if self._owns_transcript and self._transcript is not None:
+                self._transcript.close()
+                self._transcript = None
 
 
 def _parse_bv_value(value, context: str) -> int:

@@ -4,6 +4,7 @@ the bench harness outputs."""
 import csv
 import json
 import sys
+import time
 
 import pytest
 
@@ -250,6 +251,27 @@ class TestRunBaseline:
         assert code == EXIT_TIMEOUT
         assert record.status == "timeout"
         assert record.count == 0
+
+
+    def test_solver_baseline_keeps_its_partial_count_at_a_spent_deadline(self, tmp_path):
+        # the acks of the last commands are owed when the deadline is spent
+        # between check-sats; closing the session must not wait for them
+        class SpendsTheDeadlineAtTheThirdModel(SubprocessOracle):
+            models = 0
+
+            def get_projected_model(self, projection):
+                model = super().get_projected_model(projection)
+                self.models += 1
+                if self.models == 3:
+                    self.deadline = time.monotonic()
+                return model
+
+        _, script = write_instance(tmp_path, InstanceSpec("inst", "interval", 8, 20, seed=1))
+        factory = lambda script, projection: SpendsTheDeadlineAtTheThirdModel(
+            MINISOLVE_CMD, script
+        )
+        record, code = run_baseline(RunConfig("baseline", str(script)), factory)
+        assert (record.status, code, record.count) == ("timeout", EXIT_TIMEOUT, 3)
 
 
 class TestSolverHang:

@@ -1,6 +1,8 @@
 """InMemory filtering against hand-computed survivors; subprocess protocol
 against the bundled brute-force solver."""
 
+import re
+import shlex
 import sys
 import time
 
@@ -8,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pact import cli
 from pact.baseline import BaselineStatus, enumerate_count
+from pact.counter import pact_count
 from pact.errors import (
     OracleTimeout,
     ProtocolError,
@@ -342,18 +346,21 @@ class TestSubprocess:
         assert "< sat" in text
 
 
-# a stand-in solver: acknowledges every command, answers check-sat with sat
-# and get-value with the reply given on its command line
+# a stand-in solver: acknowledges every command but the first that starts
+# with `reject`, which it answers with an error; answers check-sat with
+# `check_sat` and get-value with `reply`
 FAKE_SOLVER = r"""
 import sys
-reply = sys.argv[1]
+reply, check_sat, reject = sys.argv[1:]
 for line in sys.stdin:
     if line.startswith("(exit"):
         break
     if line.startswith("(get-value"):
         out = reply
     elif line.startswith("(check-sat"):
-        out = "sat"
+        out = check_sat
+    elif reject and line.startswith(reject):
+        out, reject = '(error "rejected")', ""
     else:
         out = "success"
     sys.stdout.write(out + "\n")
@@ -361,8 +368,8 @@ for line in sys.stdin:
 """
 
 
-def fake_solver(reply):
-    return [sys.executable, "-c", FAKE_SOLVER, reply]
+def fake_solver(reply="()", check_sat="sat", reject=""):
+    return [sys.executable, "-c", FAKE_SOLVER, reply, check_sat, reject]
 
 
 class TestReplyParsing:
@@ -405,6 +412,11 @@ class TestReplyParsing:
             assert oracle.check_sat() is SolverResult.SAT
             assert oracle.get_projected_model(p) == {"a)b": 3}
 
+    def test_an_unexpected_check_sat_answer_is_a_protocol_error(self):
+        with make_oracle(command=fake_solver(check_sat="maybe")) as oracle:
+            with pytest.raises(ProtocolError, match="unexpected check-sat answer 'maybe'"):
+                oracle.check_sat()
+
     def test_two_replies_on_one_line_are_a_protocol_error(self):
         script = "(declare-const x (_ BitVec 4))\n"
         p = projection_of(script, ["x"])
@@ -413,3 +425,123 @@ class TestReplyParsing:
             assert oracle.check_sat() is SolverResult.SAT
             with pytest.raises(ProtocolError, match="more than one reply"):
                 oracle.get_projected_model(p)
+
+
+# a stand-in that reads the handshake and the script load, which arrive as
+# one write, closes its input, acknowledges them and exits: the handle
+# opens, and its next flush finds no reader
+EXITS_AFTER_LOAD = r"""
+import os
+batch = os.read(0, 65536)
+os.close(0)
+os.write(1, b"success\n" * batch.count(b"\n"))
+"""
+
+
+class TestOwedAcks:
+    """Acks of push, pop and assert are read lazily, in order, before the
+    next answer or in close()."""
+
+    SCRIPT = "(declare-const x (_ BitVec 4))\n"  # no assert for the stand-in to reject
+
+    @pytest.mark.parametrize(
+        "reject, named", [("(push", "(push 1)"), ("(assert", "(assert (not (= x #b0000)))")]
+    )
+    def test_a_rejected_command_surfaces_at_the_next_answer(self, reject, named):
+        with make_oracle(self.SCRIPT, command=fake_solver(reject=reject)) as oracle:
+            oracle.push()
+            oracle.assert_constraint(BlockingClause(proj(bv("x", 4)), ((0,),)))  # not waited for
+            with pytest.raises(ProtocolError, match=re.escape(f"expected success for {named!r}")):
+                oracle.check_sat()
+            assert oracle.pid is None  # the session ended with it
+            with pytest.raises(SolverCrashed):
+                oracle.check_sat()
+
+    def test_a_rejected_last_command_surfaces_in_close(self):
+        oracle = make_oracle(command=fake_solver(reject="(push"))
+        oracle.push()
+        with pytest.raises(ProtocolError, match=re.escape("expected success for '(push 1)'")):
+            oracle.close()
+        assert oracle.pid is None
+        oracle.close()  # released already; a second close is quiet
+
+    def test_close_does_not_replace_the_error_in_flight(self):
+        with pytest.raises(RuntimeError, match="in flight"):
+            with make_oracle(command=fake_solver(reject="(push")) as oracle:
+                oracle.push()
+                raise RuntimeError("in flight")
+        assert oracle.pid is None
+
+    def test_a_rejected_command_is_an_error_record(self, tmp_path):
+        path = tmp_path / "five.smt2"
+        path.write_text(SCRIPT_5)
+        config = cli.RunConfig(
+            "count", str(path), project="x", seed=1,
+            solver_cmd=shlex.join(fake_solver(reject="(push")),
+        )
+        record, code = cli.run_count(config)
+        assert (record.status, code) == ("error", cli.EXIT_ERROR)
+        assert "expected success for '(push 1)'" in record.detail
+        assert "Traceback" not in record.to_json()
+
+    def test_a_flush_into_a_closed_pipe_is_a_crash(self):
+        with make_oracle(command=[sys.executable, "-c", EXITS_AFTER_LOAD]) as oracle:
+            oracle.push()
+            with pytest.raises(SolverCrashed, match="pipe broke"):
+                oracle.check_sat()
+            assert oracle.pid is None
+
+    @pytest.mark.parametrize("mode", ["count", "baseline"])
+    def test_a_closed_pipe_ends_the_run_as_an_error(self, tmp_path, capsys, mode):
+        path = tmp_path / "five.smt2"
+        path.write_text(SCRIPT_5)
+        command = shlex.join([sys.executable, "-c", EXITS_AFTER_LOAD])
+        code = cli.main([mode, str(path), "--project", "x", "--solver-cmd", command])
+        record = cli.ResultRecord.from_json(capsys.readouterr().out)
+        assert (record.status, code) == ("error", cli.EXIT_ERROR)
+        assert "pipe broke" in record.detail
+
+    def test_a_huge_script_loads_without_filling_a_pipe(self):
+        # 20,000 acks are 160 kB, more than a pipe holds: sent in one go,
+        # the stand-in would block writing them while the handle blocked
+        # writing commands it no longer reads
+        script = "".join(
+            f"(declare-const x{i} (_ BitVec 8))\n(assert (bvult x{i} #x10))\n"
+            for i in range(10_000)
+        )
+        start = time.monotonic()
+        with make_oracle(script, command=fake_solver(), deadline=start + 10) as oracle:
+            assert oracle.check_sat() is SolverResult.SAT
+        assert time.monotonic() - start < 10
+
+    def test_every_command_gets_one_reply_in_order(self, tmp_path):
+        script = "(declare-const x (_ BitVec 8))\n(assert (bvult x #xc8))\n"
+        log = tmp_path / "wire.log"
+        with make_oracle(script, transcript=log) as oracle:
+            result = pact_count(oracle, projection_of(script, ["x"]), seed=1)
+        assert result.stats.check_sat_calls > 100
+        lines = log.read_text().splitlines()
+        sent = [line[2:] for line in lines if line.startswith("> ")]
+        got = [line[2:] for line in lines if line.startswith("< ")]
+        assert sent[-1] == "(exit)" and len(got) == len(sent) - 1  # exit is not read
+        for cmd, reply in zip(sent, got):
+            if cmd == "(check-sat)":
+                assert reply in ("sat", "unsat")
+            elif cmd.startswith("(get-value"):
+                assert re.fullmatch(r"\(\(x #b[01]{8}\)\)", reply), reply
+            else:
+                assert reply == "success", cmd
+        assert {cmd.split()[0] for cmd in sent} == {
+            "(set-option", "(declare-const", "(assert", "(push", "(pop",
+            "(check-sat)", "(get-value", "(exit)",
+        }
+        # no reply comes before its command, and an ack is not waited for
+        # before the next command is sent
+        n_sent = n_got = 0
+        for line in lines:
+            n_sent += line.startswith("> ")
+            n_got += line.startswith("< ")
+            assert n_got <= n_sent
+        assert "> (check-sat)" in [
+            lines[i + 1] for i, line in enumerate(lines[:-1]) if line.startswith("> (assert")
+        ]
