@@ -1,10 +1,11 @@
-"""Exact projected counting by enumerate-and-block.
+"""Exact projected counting.
 
 The reference point the approximate counter is measured against: the
-oracle's own `count_upto` loop with no cap, asking for a model and blocking
-it until unsat.  The oracle's deadline keeps it from churning forever on
-large solution sets; a timed-out result means the true count is at least
-the partial one.
+oracle's own `count_upto` with no cap.  A solver asks for a model and
+blocks it until unsat; the in-memory oracle counts its live rows at once.
+The oracle's deadline keeps a solver from churning forever on large
+solution sets; a timed-out result means the true count is at least the
+partial one.
 """
 
 from __future__ import annotations

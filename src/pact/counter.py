@@ -14,7 +14,9 @@ iterations, which boosts the per-iteration confidence to the requested
 level.  The boundary of a chain does not depend on where its search
 started, so an estimate depends on the seed alone.  Every model the
 oracle returns is cached for the whole count, so a cell's known members
-are counted, and blocked, without asking the oracle for them again.
+are counted, and blocked, without asking the oracle for them again.  An
+oracle that counts a cell in one step (the in-memory one) returns no
+models, so its cache stays empty.
 """
 
 from __future__ import annotations

@@ -46,8 +46,10 @@ class SolverUnknown(PactError):
 class OracleTimeout(PactError):
     """A query exceeded its wall-clock budget; the counting run is aborted.
 
-    `count` is set by `Oracle.count_upto`: the models it had counted when
-    the budget ran out, a lower bound on the cell's count."""
+    `count` is set by `count_upto`: the models it had counted when the
+    budget ran out, a lower bound on the cell's count.  The in-memory
+    one-step count checks the budget before counting, so its `count` is
+    the number of known models it was given, or 0."""
 
     count: int | None = None
 

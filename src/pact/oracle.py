@@ -2,11 +2,12 @@
 
 Both expose the same handle: push/pop an assertion stack, add hash
 constraints or blocking clauses, ask check-sat, extract values of the
-projection variables from a model, and count a cell up to a threshold by
-enumerate-and-block.  The subprocess backend renders constraints to
-SMT-LIB2 text; the in-memory backend holds an explicit finite solution set
-and interprets constraints via the same `eval_hash` semantics the rendered
-text encodes.
+projection variables from a model, and count a cell up to a threshold.
+The subprocess backend renders constraints to SMT-LIB2 text and counts a
+cell by enumerate-and-block (`Oracle.count_upto`, the only such loop).
+The in-memory backend holds an explicit finite solution set, interprets
+constraints via the same `eval_hash` semantics the rendered text encodes,
+and counts a cell in one step: its live rows are the cell.
 """
 
 from __future__ import annotations
@@ -121,6 +122,8 @@ class Oracle(ABC):
         rest.  Each model the solver returns is appended to `fetched`.  A
         spent `deadline` is checked before every check-sat; an
         `OracleTimeout` carries the models counted so far as its `count`.
+        A backend that can count a cell directly overrides this with the
+        same count (`InMemoryOracle`).
         """
         entry_depth, n = self.depth, 0
         try:
@@ -191,11 +194,12 @@ class InMemoryOracle(Oracle):
     Rows are kept sorted and each frame is a sorted array of live row
     indices, so the first model is always the smallest live row and every
     downstream result is deterministic.  A push shares the top array; a
-    constraint replaces it with its survivors.  Each variable's values are
-    one column at the narrowest unsigned dtype of its width
-    (`hashing.value_columns`).  Constraints are filtered by
-    `hashing.satisfied`, vectorized at every width: in object dtype, on
-    Python ints, where the arithmetic needs more than 64 bits.
+    constraint replaces it with its survivors, and `count_upto` counts
+    them without enumerating.  Each variable's values are one column at
+    the narrowest unsigned dtype of its width (`hashing.value_columns`).
+    Constraints are filtered by `hashing.satisfied`, vectorized at every
+    width: in object dtype, on Python ints, where the arithmetic needs more
+    than 64 bits.
     """
 
     def __init__(
@@ -264,6 +268,46 @@ class InMemoryOracle(Oracle):
         else:
             raise TypeError(f"cannot interpret {type(constraint).__name__} in memory")
 
+    def count_upto(
+        self,
+        projection: ProjectionSet,
+        thresh: int | None = None,
+        known: BlockingClause | None = None,
+        fetched: list | None = None,
+    ) -> int:
+        """Count the cell as `Oracle.count_upto` does, in one step: `len(known)`
+        plus the live rows the `known` clause does not block, or their
+        distinct projected tuples when `projection` names fewer variables
+        than the oracle holds, capped at thresh.  No frame is pushed, no
+        model is fetched, and `fetched` stays empty.  A spent `deadline` is
+        checked first and raises `OracleTimeout` with `count` set to
+        `len(known)` (or 0), as the loop's first check would.  Each call
+        adds one to `stats.check_sat_calls`, and one to
+        `stats.assertions_sent` when `known` is given, however many models
+        the cell holds.
+        """
+        n = 0 if known is None else len(known)
+        if self._deadline_spent():
+            exc = OracleTimeout("time budget spent while counting a cell")
+            exc.count = n
+            raise exc
+        t0 = time.perf_counter()
+        try:
+            at = [self._positions[name] for name in projection.names]
+        except KeyError as e:
+            raise UnknownVariable(f"count requested for {e.args[0]!r}, not projected") from None
+        live = self._frames[-1]
+        if known is not None:
+            self.stats.assertions_sent += 1
+            live = self._after_block(known, live)
+        if len(set(at)) < len(self._positions):
+            n += len({tuple(self._rows[i][j] for j in at) for i in live.tolist()})
+        else:
+            n += live.size
+        self.stats.check_sat_calls += 1
+        self.stats.solver_time += time.perf_counter() - t0
+        return n if thresh is None else min(n, thresh)
+
     def live_values(self) -> list[tuple[int, ...]]:
         """Surviving assignments on the current frame (introspection)."""
         return [self._rows[i] for i in self._frames[-1]]
@@ -288,8 +332,6 @@ class InMemoryOracle(Oracle):
                 return live[~dead]
             order = [names.index(name) for name in self._positions]
             rows = [tuple(row[i] for i in order) for row in rows]
-        if len(rows) == 1 and live.size and self._rows[live[0]] == rows[0]:
-            return live[1:]  # enumeration blocks the first live row: a view, no copy
         found = np.fromiter(
             (self._row_index.get(row, -1) for row in rows), dtype=np.intp, count=len(rows)
         )

@@ -20,7 +20,7 @@ from pact.cli import BenchConfig, RunConfig, run_bench, run_count
 from pact.corpus import InstanceSpec, bench_preset, build, smoke_preset, write_corpus
 from pact.counter import SATURATED, get_constants, pact_count, saturating_count
 from pact.hashing import Family, HashConstraint, Slice, _widened_width_shift, eval_hash
-from pact.oracle import InMemoryOracle, SubprocessOracle
+from pact.oracle import InMemoryOracle, Oracle, SubprocessOracle
 from pact.smtlib import ProjectionSet, SortedVar, parse_declarations, resolve_projection
 
 TOLERANCE_FACTOR = 1.8       # 1 + epsilon at the default epsilon = 0.8
@@ -166,6 +166,10 @@ def test_criterion_2_counts_match_brute_force():
             mismatches += 1
         if enumerate_count(oracle, proj(width)).count != truth:
             mismatches += 1
+        # the one-step in-memory count against the enumerate-and-block loop
+        for cap in (thresh, None):
+            if oracle.count_upto(proj(width), cap) != Oracle.count_upto(oracle, proj(width), cap):
+                mismatches += 1
     elapsed = time.monotonic() - started
     _report(
         2,

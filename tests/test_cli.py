@@ -26,6 +26,7 @@ from pact.errors import OracleTimeout, SolverUnknown
 from pact.hashing import HashConstraint
 from pact.oracle import InMemoryOracle, SolverResult, SubprocessOracle
 from pact.smtlib import parse_declarations, resolve_projection
+from stand_ins import EnumeratingOracle
 
 MINISOLVE_CMD = f"{sys.executable} -m pact.minisolve"
 
@@ -34,7 +35,7 @@ def memory_factory(inst):
     return lambda script, projection: InMemoryOracle(projection, inst.solutions)
 
 
-class DropsEveryThirdHash(InMemoryOracle):
+class DropsEveryThirdHash(EnumeratingOracle):
     """An inconsistent oracle: silently ignores every third hash constraint."""
 
     def __init__(self, *args):
@@ -49,7 +50,7 @@ class DropsEveryThirdHash(InMemoryOracle):
         super().assert_constraint(constraint)
 
 
-class TimesOutAtCheckSat(InMemoryOracle):
+class TimesOutAtCheckSat(EnumeratingOracle):
     """A memory oracle whose n-th check-sat times out."""
 
     def __init__(self, n, *args):
@@ -63,7 +64,7 @@ class TimesOutAtCheckSat(InMemoryOracle):
         return result
 
 
-class AnswersUnknownAtCheckSat(InMemoryOracle):
+class AnswersUnknownAtCheckSat(EnumeratingOracle):
     """A memory oracle whose n-th check-sat answers unknown."""
 
     def __init__(self, n, *args):
@@ -388,7 +389,7 @@ class TestBench:
         assert len((out / "records.jsonl").read_text().splitlines()) == 2
 
     def test_an_oracle_fault_does_not_abort_the_sweep(self, tmp_path, monkeypatch):
-        class Broken(InMemoryOracle):
+        class Broken(EnumeratingOracle):
             def check_sat(self):
                 raise RuntimeError("oracle broke")
 

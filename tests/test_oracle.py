@@ -6,6 +6,7 @@ import shlex
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,7 @@ from pact.errors import (
     UnknownVariable,
 )
 from pact.hashing import Family, HashConstraint, Slice, eval_hash, generate_hash
-from pact.oracle import InMemoryOracle, SolverResult, SubprocessOracle
+from pact.oracle import InMemoryOracle, Oracle, SolverResult, SubprocessOracle
 from pact.smtlib import BlockingClause, ProjectionSet, SortedVar, resolve_projection, parse_declarations
 
 import random
@@ -182,13 +183,27 @@ def test_vectorized_filter_matches_reference(data):
     assert oracle.live_values() == expected
 
 
+def counts_agree(oracle, projection, thresh, known=None):
+    """The in-memory one-step count and the base class's enumerate-and-block
+    loop give the same count, and the one-step count fetches no model."""
+    fetched = []
+    one_step = oracle.count_upto(projection, thresh, known, fetched)
+    assert fetched == []
+    assert Oracle.count_upto(oracle, projection, thresh, known) == one_step
+    return one_step
+
+
 @pytest.mark.parametrize("widths", [(6, 5), (70, 4)], ids=["narrow", "wide"])
 @pytest.mark.parametrize("family", list(Family), ids=str)
 def test_count_upto_matches_brute_force(family, widths):
-    """Enumerate-and-block over live-index frames agrees with brute force
-    after random hash stacks and a partial blocking clause.  A 70-bit
-    variable is filtered on Python ints (object columns)."""
-    p = proj(bv("x", widths[0]), bv("y", widths[1]))
+    """The one-step count and enumerate-and-block over live-index frames
+    agree with each other and with brute force after random hash stacks
+    and a partial blocking clause: at every threshold, with a `known`
+    clause, over part of the projection (distinct projected tuples) and
+    with the deadline spent.  A 70-bit variable is filtered on Python ints
+    (object columns)."""
+    x, y = bv("x", widths[0]), bv("y", widths[1])
+    p = proj(x, y)
     rng = random.Random(f"{family}/{widths}")
     rows = {(rng.getrandbits(widths[0]), rng.getrandbits(widths[1])) for _ in range(250)}
     oracle = InMemoryOracle(p, rows)
@@ -196,24 +211,52 @@ def test_count_upto_matches_brute_force(family, widths):
         ell = 1 if family is Family.XOR else rng.randint(1, 3)
         stack = [generate_hash(p, ell, family, rng) for _ in range(rng.randint(0, 4))]
         blocked_y = rng.randrange(1 << widths[1])
-        stack.insert(rng.randint(0, len(stack)), BlockingClause(proj(bv("y", widths[1])), ((blocked_y,),)))
+        stack.insert(rng.randint(0, len(stack)), BlockingClause(proj(y), ((blocked_y,),)))
         for constraint in stack:
             oracle.push()
             oracle.assert_constraint(constraint)
-        truth = sum(
-            y != blocked_y and all(
-                eval_hash(c, {"x": x, "y": y}) == c.target
+        cell = [
+            (xv, yv) for xv, yv in rows
+            if yv != blocked_y and all(
+                eval_hash(c, {"x": xv, "y": yv}) == c.target
                 for c in stack if isinstance(c, HashConstraint)
             )
-            for x, y in rows
-        )
+        ]
+        truth = len(cell)
         live = oracle.live_values()
+        frames = list(oracle._frames)
+        known = tuple(rng.sample(live, min(len(live), rng.randint(1, 15))))
         for thresh in (1, 20, 73, None):
-            assert oracle.count_upto(p, thresh) == min(truth, thresh or truth)
+            assert counts_agree(oracle, p, thresh) == min(truth, thresh or truth)
+            if known and (thresh is None or len(known) < thresh):
+                clause = BlockingClause(p, known)
+                assert counts_agree(oracle, p, thresh, clause) == min(truth, thresh or truth)
+            for j, part in enumerate((x, y)):
+                distinct = len({row[j] for row in cell})
+                assert counts_agree(oracle, proj(part), thresh) == min(distinct, thresh or distinct)
+        oracle.deadline = time.monotonic() - 1
+        for clause in (None, BlockingClause(p, known) if known else None):
+            with pytest.raises(OracleTimeout) as one_step:
+                oracle.count_upto(p, 73, clause)
+            with pytest.raises(OracleTimeout) as loop:
+                Oracle.count_upto(oracle, p, 73, clause)
+            assert one_step.value.count == loop.value.count == (len(clause) if clause else 0)
+        oracle.deadline = None
         assert oracle.depth == len(stack)
+        assert all(map(np.array_equal, oracle._frames, frames))
         assert oracle.live_values() == live  # the loop's blocking clauses were scoped
         while oracle.depth:
             oracle.pop()
+
+
+def test_one_step_count_costs_one_check_sat():
+    oracle = InMemoryOracle(X3, range(8))
+    assert oracle.count_upto(X3, 5) == 5
+    assert (oracle.stats.check_sat_calls, oracle.stats.assertions_sent) == (1, 0)
+    assert oracle.count_upto(X3, None, BlockingClause(X3, ((1,), (2,)))) == 8
+    assert (oracle.stats.check_sat_calls, oracle.stats.assertions_sent) == (2, 1)
+    with pytest.raises(UnknownVariable):
+        oracle.count_upto(proj(bv("z", 3)))
 
 
 # ---------------------------------------------------------------------------
