@@ -201,8 +201,10 @@ def saturating_count(
     then `extra` if given.  The cell's cached members count without asking
     the oracle; when they fall short of thresh, the oracle blocks them with
     one assertion and enumerates the rest, and what it returns is checked
-    against the cell and cached.  Without a cache, a fresh one knows no
-    chain, so only `extra` and repeats are checked.
+    against the cell and cached.  An oracle that counts a cell in one step
+    (`InMemoryOracle`) returns no models, so nothing is checked or cached.
+    Without a cache, a fresh one knows no chain, so only `extra` and
+    repeats are checked.
     """
     if thresh < 1:
         raise InvalidParameters(f"threshold must be >= 1, got {thresh}")

@@ -123,7 +123,8 @@ class Oracle(ABC):
         spent `deadline` is checked before every check-sat; an
         `OracleTimeout` carries the models counted so far as its `count`.
         A backend that can count a cell directly overrides this with the
-        same count (`InMemoryOracle`).
+        same count (`InMemoryOracle`) wherever `len(known) < thresh`, the
+        only case `saturating_count` asks for.
         """
         entry_depth, n = self.depth, 0
         try:
@@ -275,14 +276,17 @@ class InMemoryOracle(Oracle):
         known: BlockingClause | None = None,
         fetched: list | None = None,
     ) -> int:
-        """Count the cell as `Oracle.count_upto` does, in one step: `len(known)`
-        plus the live rows the `known` clause does not block, or their
-        distinct projected tuples when `projection` names fewer variables
-        than the oracle holds, capped at thresh.  No frame is pushed, no
-        model is fetched, and `fetched` stays empty.  A spent `deadline` is
-        checked first and raises `OracleTimeout` with `count` set to
-        `len(known)` (or 0), as the loop's first check would.  Each call
-        adds one to `stats.check_sat_calls`, and one to
+        """Count the cell as `Oracle.count_upto` does when `len(known) < thresh`,
+        in one step: `len(known)` plus the live rows the `known` clause does
+        not block, or their distinct projected tuples when `projection`
+        names fewer variables than the oracle holds, capped at thresh.
+        (At `len(known) >= thresh` the loop returns `len(known)` uncapped
+        without checking the deadline; this returns thresh and does check
+        it.  `saturating_count` never asks for that case.)  No frame is
+        pushed, no model is fetched, and `fetched` stays empty.  A spent
+        `deadline` is checked first and raises `OracleTimeout` with `count`
+        set to `len(known)` (or 0), as the loop's first check would.  Each
+        call adds one to `stats.check_sat_calls`, and one to
         `stats.assertions_sent` when `known` is given, however many models
         the cell holds.
         """
