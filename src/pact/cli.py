@@ -226,7 +226,9 @@ def run_bench(config: BenchConfig, progress=None) -> tuple[list[BenchRow], int]:
     """Count every manifest instance, collecting per-instance records.
 
     Failures are recorded and the sweep continues; the exit code reflects
-    the worst individual outcome.
+    the worst individual outcome.  The solver backend counts `config.jobs`
+    instances at once; memory counts hold the interpreter lock, so that
+    backend counts one at a time.
     """
     if config.backend not in ("memory", "solver"):
         raise ValueError(f"unknown backend {config.backend!r}")
@@ -273,7 +275,8 @@ def run_bench(config: BenchConfig, progress=None) -> tuple[list[BenchRow], int]:
             if progress:
                 progress(row)
 
-    with ThreadPoolExecutor(max_workers=max(1, config.jobs)) as pool:
+    jobs = config.jobs if config.backend == "solver" else 1
+    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
         list(pool.map(one, entries))
 
     rows.sort(key=lambda r: r.name)
@@ -361,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int)
     bench.add_argument("--solver-cmd")
     bench.add_argument("--timeout", type=float, help="per-instance budget")
-    bench.add_argument("--jobs", type=int)
+    bench.add_argument("--jobs", type=int, help="instances counted at once; memory runs serially")
     bench.add_argument("--out", default="pact-bench", help="output directory")
 
     gen = sub.add_parser("corpus", help="generate a benchmark corpus")

@@ -192,15 +192,16 @@ class Oracle(ABC):
 class InMemoryOracle(Oracle):
     """Oracle over an explicit finite set of projected assignments.
 
-    Rows are kept sorted and each frame is a sorted array of live row
-    indices, so the first model is always the smallest live row and every
-    downstream result is deterministic.  A push shares the top array; a
-    constraint replaces it with its survivors, and `count_upto` counts
-    them without enumerating.  Each variable's values are one column at
-    the narrowest unsigned dtype of its width (`hashing.value_columns`).
-    Constraints are filtered by `hashing.satisfied`, vectorized at every
-    width: in object dtype, on Python ints, where the arithmetic needs more
-    than 64 bits.
+    The set is held once, as one column per variable: its values in sorted
+    row order, at the narrowest unsigned dtype of its width
+    (`hashing.value_columns`); nothing is kept per row.  Each frame is a
+    sorted array of live row indices, so the first model is always the
+    smallest live row and every result is deterministic.  A push shares the
+    top array; a constraint replaces it with its survivors, and `count_upto`
+    counts them without enumerating.  Hashes are filtered by
+    `hashing.satisfied` at every width (in object dtype past 64 bits).  A
+    blocking clause drops each live row equal to one of its rows on the
+    clause's variables, whatever their order and however many it names.
     """
 
     def __init__(
@@ -209,7 +210,6 @@ class InMemoryOracle(Oracle):
         solutions: Iterable[int | Sequence[int]],
     ):
         super().__init__()
-        self.projection = projection
         k = len(projection)
         widths = [v.width for v in projection.variables]
         rows: set[tuple[int, ...]] = set()
@@ -223,12 +223,11 @@ class InMemoryOracle(Oracle):
                 if not 0 <= v < (1 << w):
                     raise ValueError(f"value {v} out of range for width {w}")
             rows.add(row)
-        self._rows: list[tuple[int, ...]] = sorted(rows)
-        self._row_index = {row: i for i, row in enumerate(self._rows)}
         self._names = projection.names
         self._positions = {name: j for j, name in enumerate(self._names)}
-        self._columns = value_columns(widths, self._rows)
-        self._frames: list[np.ndarray] = [np.arange(len(self._rows), dtype=np.intp)]
+        self._columns = value_columns(widths, sorted(rows))
+        self._size = len(rows)
+        self._frames: list[np.ndarray] = [np.arange(self._size, dtype=np.intp)]
 
     @property
     def depth(self) -> int:
@@ -253,9 +252,9 @@ class InMemoryOracle(Oracle):
         live = self._frames[-1]
         if not live.size:
             raise ProtocolError("model requested from an unsatisfiable state")
-        row = self._rows[live[0]]
+        i = live[0]
         try:
-            return {v.name: row[self._positions[v.name]] for v in projection.variables}
+            return {name: int(self._columns[self._positions[name]][i]) for name in projection.names}
         except KeyError as e:
             raise UnknownVariable(f"model requested for {e.args[0]!r}, not projected") from None
 
@@ -305,7 +304,7 @@ class InMemoryOracle(Oracle):
             self.stats.assertions_sent += 1
             live = self._after_block(known, live)
         if len(set(at)) < len(self._positions):
-            n += len({tuple(self._rows[i][j] for j in at) for i in live.tolist()})
+            n += len(set(zip(*(self._columns[j][live].tolist() for j in at))))
         else:
             n += live.size
         self.stats.check_sat_calls += 1
@@ -314,39 +313,28 @@ class InMemoryOracle(Oracle):
 
     def live_values(self) -> list[tuple[int, ...]]:
         """Surviving assignments on the current frame (introspection)."""
-        return [self._rows[i] for i in self._frames[-1]]
+        live = self._frames[-1]
+        return list(zip(*(col[live].tolist() for col in self._columns)))
 
     # -- filtering internals: each takes the live indices and returns survivors
 
     def _after_block(self, clause: BlockingClause, live: np.ndarray) -> np.ndarray:
-        names = clause.projection.names
-        rows = clause.rows
-        if names != self._names:
-            for name in names:
-                if name not in self._positions:
-                    raise UnknownVariable(f"blocking clause names {name!r}, not projected")
-            if len(set(names)) < len(self._positions):
-                # partial clause: kill every row matching one of its assignments
-                dead = np.zeros(live.size, dtype=bool)
-                for row in rows:
-                    match = np.ones(live.size, dtype=bool)
-                    for name, v in zip(names, row):
-                        match &= self._columns[self._positions[name]][live] == v
-                    dead |= match
-                return live[~dead]
-            order = [names.index(name) for name in self._positions]
-            rows = [tuple(row[i] for i in order) for row in rows]
-        found = np.fromiter(
-            (self._row_index.get(row, -1) for row in rows), dtype=np.intp, count=len(rows)
-        )
-        pos = live.searchsorted(found)
-        hit = pos < live.size
-        hit[hit] = live[pos[hit]] == found[hit]
-        return np.delete(live, pos[hit])
+        columns = []
+        for name in clause.projection.names:
+            if name not in self._positions:
+                raise UnknownVariable(f"blocking clause names {name!r}, not projected")
+            columns.append(self._columns[self._positions[name]][live])
+        dead = np.zeros(live.size, dtype=bool)
+        for row in clause.rows:
+            match = np.ones(live.size, dtype=bool)
+            for col, v in zip(columns, row):
+                match &= col == v
+            dead |= match
+        return live[~dead]
 
     def _after_hash(self, constraint: HashConstraint, live: np.ndarray) -> np.ndarray:
         columns = dict(zip(self._names, self._columns))
-        if live.size < len(self._rows):  # else live is every row, in order
+        if live.size < self._size:  # else live is every row, in order
             columns = {name: col[live] for name, col in columns.items()}
         # compress, not live[mask]: boolean indexing is about 4x slower here
         return np.compress(satisfied([constraint], columns)[0], live)

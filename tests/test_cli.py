@@ -4,6 +4,7 @@ the bench harness outputs."""
 import csv
 import json
 import sys
+import threading
 import time
 
 import pytest
@@ -328,9 +329,11 @@ class TestBench:
         manifest = self.manifest(tmp_path)
         out = tmp_path / "bench"
         config = BenchConfig(str(manifest), str(out), jobs=2, seed=3)
-        rows, code = run_bench(config)
+        threads = []
+        rows, code = run_bench(config, progress=lambda row: threads.append(threading.get_ident()))
         assert code == EXIT_OK
         assert [r.name for r in rows] == ["b-one", "b-two"]
+        assert len(threads) == 2 and len(set(threads)) == 1  # memory sweeps run serially
         for row in rows:
             assert row.record.status == "ok"
             assert row.error_ratio <= 0.8

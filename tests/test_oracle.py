@@ -42,6 +42,9 @@ def xor_c(var, width, coeffs, target):
 
 
 X3 = proj(bv("x", 3))
+XY = proj(bv("x", 2), bv("y", 2))
+XY_ROWS = [(a, b) for a in range(4) for b in range(4)]
+WIDE = proj(bv("w", 70), bv("n", 4))  # one object-dtype column next to a uint8 one
 
 
 class TestInMemoryFiltering:
@@ -91,18 +94,31 @@ class TestInMemoryFiltering:
         assert oracle.live_values() == [(3,), (4,), (5,)]
 
     def test_full_blocking_clause(self):
-        oracle = InMemoryOracle(X3, range(8))
-        oracle.assert_constraint(BlockingClause(X3, ((5,),)))
-        assert (5,) not in oracle.live_values()
-        assert len(oracle.live_values()) == 7
+        YX = proj(bv("y", 2), bv("x", 2))
+        cases = [
+            (X3, range(8), BlockingClause(X3, ((5,),)), [(5,)]),
+            (X3, range(8), BlockingClause(X3, ((5,), (1,), (6,))), [(1,), (5,), (6,)]),
+            (XY, XY_ROWS, BlockingClause(XY, ((1, 2),)), [(1, 2)]),
+            # variables in another order than the oracle's: (y, x) = (2, 1) is row (1, 2)
+            (XY, XY_ROWS, BlockingClause(YX, ((2, 1), (0, 3))), [(1, 2), (3, 0)]),
+        ]
+        for projection, rows, clause, blocked in cases:
+            oracle = InMemoryOracle(projection, rows)
+            before = oracle.live_values()
+            oracle.assert_constraint(clause)
+            assert oracle.live_values() == [r for r in before if r not in blocked]
 
     def test_partial_blocking_clause(self):
-        p = proj(bv("x", 2), bv("y", 2))
-        rows = [(a, b) for a in range(4) for b in range(4)]
-        oracle = InMemoryOracle(p, rows)
+        oracle = InMemoryOracle(XY, XY_ROWS)
         oracle.assert_constraint(BlockingClause(proj(bv("y", 2)), ((3,),)))
         assert all(b != 3 for _, b in oracle.live_values())
         assert len(oracle.live_values()) == 12
+        oracle.assert_constraint(BlockingClause(proj(bv("x", 2)), ((0,), (2,))))
+        assert oracle.live_values() == [(a, b) for a in (1, 3) for b in range(3)]
+        with pytest.raises(UnknownVariable):
+            oracle.assert_constraint(BlockingClause(proj(bv("z", 2)), ((1,),)))
+        with pytest.raises(UnknownVariable):
+            oracle.assert_constraint(BlockingClause(proj(bv("x", 2), bv("z", 2)), ((1, 1),)))
 
 
 class TestInMemoryStack:
@@ -152,13 +168,39 @@ class TestInMemoryStack:
         assert oracle.stats.check_sat_calls == 2
         assert oracle.stats.assertions_sent == 1
 
+    @pytest.mark.parametrize(
+        "projection, solutions, rows",
+        [
+            (X3, [5, 2, 7, 2, 0, 5, 7], [(0,), (2,), (5,), (7,)]),
+            (X3, [np.uint8(6), 3, (3,), np.int64(1), (np.uint16(6),)], [(1,), (3,), (6,)]),
+            (XY, [(3, 0), (1, 2), (np.int8(1), 1), (3, 0), (1, 2)], [(1, 1), (1, 2), (3, 0)]),
+            (
+                WIDE,
+                [(2**69 + 1, 3), (5, 15), (2**69 + 1, 3), (2**70 - 1, 0), (5, np.uint8(2))],
+                [(5, 2), (5, 15), (2**69 + 1, 3), (2**70 - 1, 0)],
+            ),
+        ],
+        ids=["unsorted-duplicates", "mixed-int-types", "two-vars", "70-and-4-bits"],
+    )
+    def test_rows_sorted_and_deduplicated(self, projection, solutions, rows):
+        oracle = InMemoryOracle(projection, solutions)
+        assert oracle.live_values() == rows
+        assert all(type(v) is int for row in oracle.live_values() for v in row)
+        model = oracle.get_projected_model(projection)
+        assert model == dict(zip(projection.names, rows[0]))
+        assert all(type(v) is int for v in model.values())
+
     def test_value_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            InMemoryOracle(X3, [8])
+        for projection, solution in [
+            (X3, -1), (X3, 8), (X3, (8,)), (WIDE, (2**70, 0)), (WIDE, (0, 16)), (WIDE, (-1, 0))
+        ]:
+            with pytest.raises(ValueError):
+                InMemoryOracle(projection, [solution])
 
     def test_wrong_arity_rejected(self):
-        with pytest.raises(ValueError):
-            InMemoryOracle(proj(bv("x", 2), bv("y", 2)), [(1,)])
+        for projection, solution in [(XY, (1,)), (XY, 1), (X3, (1, 2)), (WIDE, (1, 2, 3)), (X3, ())]:
+            with pytest.raises(ValueError):
+                InMemoryOracle(projection, [solution])
 
 
 @settings(max_examples=60, deadline=None)
