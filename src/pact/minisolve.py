@@ -1,20 +1,27 @@
 """A bounded brute-force SMT-LIB2 solver for tests and demos.
 
 Enumerates bitvector/boolean state spaces as an explicit numpy grid (up to
---max-grid-bits total bits) and checks floating-point/real side conditions
-that do not share variables with the grid by sampling candidate witnesses.
-Speaks enough of the interactive SMT-LIB2 protocol to act as an
-incremental oracle: print-success acknowledgements, push/pop, check-sat,
-get-value.  Anything outside its fragment gets an honest `unknown`, never
-a guess.
+2^22 points) and checks floating-point/real side conditions that do not
+share variables with the grid by sampling candidate witnesses.  Speaks
+enough of the interactive SMT-LIB2 protocol to act as an incremental
+oracle: print-success acknowledgements, push/pop, check-sat, get-value.
+Anything outside its fragment gets an honest `unknown`, never a guess.
 
-Run as `pact-minisolve`; see --help for the test-only hang knobs.
+Every term evaluates to a numpy array over the grid (one element when it
+names no grid variable).  A width-w bitvector is stored as uint64 when w
+<= 64 and as Python ints (object dtype) above, always reduced mod 2^w:
+`_dtype` is the one place that chooses, and `_bv` builds every operator's
+result.  A boolean is a bool array.
+
+Run as `pact-minisolve`; see --help for the test-only hang knob.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
+import operator
 import os
 import sys
 import time
@@ -41,12 +48,12 @@ class GridVar:
 @dataclass
 class BVVal:
     width: int
-    arr: object  # np.uint64 scalar/array, or python int / object array when wide
+    arr: np.ndarray  # _dtype(width), every element < 2^width
 
 
 @dataclass
 class BoolVal:
-    arr: object  # np.bool_ scalar/array
+    arr: np.ndarray  # bool
 
 
 @dataclass
@@ -68,37 +75,31 @@ _REAL_CANDIDATES = tuple(
     Fraction(x) for x in (0, 1, -1, "1/2", 2, -2, 100, -100)
 )
 _MAX_THEORY_VARS = 4
+_HANG_SECONDS = 60.0
+
+_BV_FOLDS = {
+    "bvadd": operator.add, "bvsub": operator.sub, "bvmul": operator.mul,
+    "bvand": operator.and_, "bvor": operator.or_, "bvxor": operator.xor,
+}
+_BV_COMPARISONS = {"lt": operator.lt, "le": operator.le, "gt": operator.gt, "ge": operator.ge}
 
 
-def _to_object(a):
-    if isinstance(a, np.ndarray):
-        return a if a.dtype == object else a.astype(object)
-    return int(a)
+def _dtype(width: int):
+    """How a width-bit value is stored: uint64 up to 64 bits, Python ints above."""
+    return np.uint64 if width <= 64 else object
 
 
-def _pair(x: BVVal, y: BVVal):
-    """Align operand arrays; returns (ax, ay, use_object_dtype)."""
-    obj = x.width > 64 or y.width > 64 or isinstance(x.arr, int) or isinstance(y.arr, int)
-    if not obj:
-        for a in (x.arr, y.arr):
-            if isinstance(a, np.ndarray) and a.dtype == object:
-                obj = True
-    if obj:
-        return _to_object(x.arr), _to_object(y.arr), True
-    return x.arr, y.arr, False
-
-
-def _wrap(arr, width: int, obj: bool) -> BVVal:
-    mask = (1 << width) - 1
-    if obj:
-        return BVVal(width, arr & mask)
-    return BVVal(width, arr & np.uint64(mask))
+def _bv(arr: np.ndarray, width: int) -> BVVal:
+    """A width-bit value from any integer array: reduced mod 2^width and
+    stored at the width's dtype."""
+    dtype = _dtype(width)
+    if dtype is object:
+        arr = arr.astype(object, copy=False)  # widen before reducing
+    return BVVal(width, (arr & ((1 << width) - 1)).astype(dtype, copy=False))
 
 
 def _bv_literal(value: int, width: int) -> BVVal:
-    if width <= 64:
-        return BVVal(width, np.uint64(value))
-    return BVVal(width, value)
+    return BVVal(width, np.array([value & ((1 << width) - 1)], dtype=_dtype(width)))
 
 
 def _decode_fp_literal(sign: str, exp: str, sig: str) -> float:
@@ -160,13 +161,13 @@ class Engine:
                 var.col = np.repeat(var.col, dom)
         for frame in self.frames:
             frame.mask = np.repeat(frame.mask, dom)
-        fresh = np.tile(np.arange(dom, dtype=np.uint64), self.grid_size)
+        if label == "bool":
+            values = np.array([False, True])
+        else:
+            values = np.arange(dom, dtype=_dtype(width))
+        self.grid[name] = GridVar(label, width, np.tile(values, self.grid_size))
         self.grid_size *= dom
         self.total_bits += bits
-        if label == "bool":
-            self.grid[name] = GridVar(label, 1, fresh.astype(bool))
-        else:
-            self.grid[name] = GridVar(label, width, fresh)
         return None
 
     @staticmethod
@@ -232,7 +233,7 @@ class Engine:
         if not isinstance(val, BoolVal):
             frame.tainted = True
             return
-        frame.mask = frame.mask & np.asarray(val.arr, dtype=bool)
+        frame.mask = frame.mask & val.arr
 
     # -- bitvector/boolean evaluation over the grid
 
@@ -261,9 +262,9 @@ class Engine:
         if name in env:
             return env[name]
         if token == "true":
-            return BoolVal(np.True_)
+            return BoolVal(np.ones(1, dtype=bool))
         if token == "false":
-            return BoolVal(np.False_)
+            return BoolVal(np.zeros(1, dtype=bool))
         if token.startswith("#b"):
             return _bv_literal(int(token[2:], 2), len(token) - 2)
         if token.startswith("#x"):
@@ -285,31 +286,16 @@ class Engine:
             x = self._expect_bv(args[0], env)
             if not 0 <= lo <= hi < x.width:
                 raise Unsupported("extract out of range")
-            width = hi - lo + 1
-            obj = isinstance(x.arr, int) or (
-                isinstance(x.arr, np.ndarray) and x.arr.dtype == object
-            )
-            shift = lo if obj else np.uint64(lo)
-            return _wrap(x.arr >> shift, width, obj)
+            return _bv(x.arr >> lo, hi - lo + 1)
         if head[1] == "zero_extend" and len(head) == 3 and len(args) == 1:
-            k = int(head[2])
             x = self._expect_bv(args[0], env)
-            width = x.width + k
-            if width > 64 and not isinstance(x.arr, int):
-                return BVVal(width, _to_object(x.arr))
-            return BVVal(width, x.arr)
+            return _bv(x.arr, x.width + int(head[2]))
         if head[1] == "sign_extend" and len(head) == 3 and len(args) == 1:
-            k = int(head[2])
             x = self._expect_bv(args[0], env)
-            width = x.width + k
-            obj = width > 64
-            arr = _to_object(x.arr) if obj else x.arr
-            one = 1 if obj else np.uint64(1)
-            msb = (arr >> (x.width - 1 if obj else np.uint64(x.width - 1))) & one
-            high = ((1 << width) - (1 << x.width))
-            high = high if obj else np.uint64(high)
-            extended = np.where(msb == one, arr | high, arr)
-            return _wrap(extended, width, obj)
+            wide = _bv(x.arr, x.width + int(head[2]))
+            high = (1 << wide.width) - (1 << x.width)
+            negative = (wide.arr >> (x.width - 1)) == 1
+            return _bv(np.where(negative, wide.arr | high, wide.arr), wide.width)
         if head[1].startswith("bv") and head[1][2:].isdigit() and len(head) == 3:
             return _bv_literal(int(head[1][2:]), int(head[2]))
         raise Unsupported(f"indexed operator {head!r}")
@@ -328,15 +314,15 @@ class Engine:
 
     def _eval_app(self, head: str, args, env):
         if head == "not" and len(args) == 1:
-            return BoolVal(~np.asarray(self._expect_bool(args[0], env).arr, dtype=bool))
+            return BoolVal(~self._expect_bool(args[0], env).arr)
         if head in ("and", "or", "xor") and args:
-            acc = np.asarray(self._expect_bool(args[0], env).arr, dtype=bool)
+            acc = self._expect_bool(args[0], env).arr
             for a in args[1:]:
-                v = np.asarray(self._expect_bool(a, env).arr, dtype=bool)
+                v = self._expect_bool(a, env).arr
                 acc = acc & v if head == "and" else acc | v if head == "or" else acc ^ v
             return BoolVal(acc)
         if head == "=>" and len(args) >= 2:
-            vals = [np.asarray(self._expect_bool(a, env).arr, dtype=bool) for a in args]
+            vals = [self._expect_bool(a, env).arr for a in args]
             acc = vals[-1]
             for v in reversed(vals[:-1]):
                 acc = ~v | acc
@@ -345,13 +331,12 @@ class Engine:
             vals = [self._eval(a, env) for a in args]
             return self._equality(head, vals)
         if head == "ite" and len(args) == 3:
-            c = np.asarray(self._expect_bool(args[0], env).arr, dtype=bool)
+            c = self._expect_bool(args[0], env).arr
             t, f = self._eval(args[1], env), self._eval(args[2], env)
             if isinstance(t, BoolVal) and isinstance(f, BoolVal):
                 return BoolVal(np.where(c, t.arr, f.arr))
             if isinstance(t, BVVal) and isinstance(f, BVVal) and t.width == f.width:
-                at, af, obj = _pair(t, f)
-                return _wrap(np.where(c, at, af), t.width, obj)
+                return _bv(np.where(c, t.arr, f.arr), t.width)
             raise Unsupported("ite branches disagree")
         if head.startswith("bv"):
             return self._eval_bvop(head, args, env)
@@ -360,24 +345,16 @@ class Engine:
             for a in args[1:]:
                 nxt = self._expect_bv(a, env)
                 width = acc.width + nxt.width
-                ax, ay, obj = (
-                    (_to_object(acc.arr), _to_object(nxt.arr), True)
-                    if width > 64
-                    else _pair(acc, nxt)
-                )
-                shift = nxt.width if obj else np.uint64(nxt.width)
-                acc = _wrap((ax << shift) | ay, width, obj)
+                high = _bv(acc.arr, width).arr << nxt.width
+                acc = _bv(high | _bv(nxt.arr, width).arr, width)
             return acc
         raise Unsupported(f"operator {head}")
 
     def _equality(self, head: str, vals):
         def eq(a, b):
-            if isinstance(a, BoolVal) and isinstance(b, BoolVal):
-                return np.asarray(a.arr, dtype=bool) == np.asarray(b.arr, dtype=bool)
-            if isinstance(a, BVVal) and isinstance(b, BVVal) and a.width == b.width:
-                ax, ay, _obj = _pair(a, b)
-                return np.asarray(ax == ay, dtype=bool)
-            raise Unsupported("ill-sorted equality")
+            if type(a) is not type(b) or isinstance(a, BVVal) and a.width != b.width:
+                raise Unsupported("ill-sorted equality")
+            return a.arr == b.arr
 
         if head == "=":
             acc = None
@@ -392,85 +369,38 @@ class Engine:
         return BoolVal(acc)
 
     def _eval_bvop(self, head: str, args, env):
-        # uint64 wraparound is the intended modular semantics
-        with np.errstate(over="ignore"):
-            return self._eval_bvop_inner(head, args, env)
-
-    def _eval_bvop_inner(self, head: str, args, env):
         vals = [self._expect_bv(a, env) for a in args]
         if head == "bvnot" and len(vals) == 1:
-            x = vals[0]
-            obj = isinstance(x.arr, int) or (
-                isinstance(x.arr, np.ndarray) and x.arr.dtype == object
-            )
-            if obj:
-                return _wrap(~_to_object(x.arr), x.width, True)
-            return _wrap(np.bitwise_not(x.arr), x.width, False)
+            return _bv(~vals[0].arr, vals[0].width)
         if head == "bvneg" and len(vals) == 1:
-            x = vals[0]
-            zero = BVVal(x.width, np.uint64(0) if x.width <= 64 else 0)
-            ax, ay, obj = _pair(zero, x)
-            return _wrap(ax - ay, x.width, obj)
+            return _bv(0 - vals[0].arr, vals[0].width)
         if len(vals) < 2:
             raise Unsupported(f"{head} arity")
         width = vals[0].width
         if any(v.width != width for v in vals):
             raise Unsupported(f"{head} mixes widths")
-        if head in ("bvadd", "bvmul", "bvand", "bvor", "bvxor", "bvsub"):
-            acc = vals[0]
-            for v in vals[1:]:
-                ax, ay, obj = _pair(acc, v)
-                if head == "bvadd":
-                    r = ax + ay
-                elif head == "bvmul":
-                    r = ax * ay
-                elif head == "bvsub":
-                    r = ax - ay
-                elif head == "bvand":
-                    r = ax & ay
-                elif head == "bvor":
-                    r = ax | ay
-                else:
-                    r = ax ^ ay
-                acc = _wrap(r, width, obj)
-            return acc
-        x, y = vals[0], vals[1]
+        if head in _BV_FOLDS:  # uint64 wraps mod 2^64, so one reduction at the end
+            return _bv(functools.reduce(_BV_FOLDS[head], (v.arr for v in vals)), width)
         if len(vals) != 2:
             raise Unsupported(f"{head} arity")
-        ax, ay, obj = _pair(x, y)
-        mask = (1 << width) - 1 if obj else np.uint64((1 << width) - 1)
-        if head == "bvudiv":
-            safe = np.where(ay == (0 if obj else np.uint64(0)), (1 if obj else np.uint64(1)), ay)
-            return _wrap(np.where(ay == 0, mask, ax // safe), width, obj)
-        if head == "bvurem":
-            safe = np.where(ay == 0, (1 if obj else np.uint64(1)), ay)
-            return _wrap(np.where(ay == 0, ax, ax % safe), width, obj)
-        if head in ("bvshl", "bvlshr"):
-            w = width if obj else np.uint64(width)
-            in_range = ay < w
-            sh = np.where(in_range, ay, 0 if obj else np.uint64(0))
-            moved = (ax << sh) if head == "bvshl" else (ax >> sh)
-            return _wrap(np.where(in_range, moved, 0 if obj else np.uint64(0)), width, obj)
-        if head == "bvashr":
-            ax, ay = _to_object(ax), _to_object(ay)
-            sign = (ax >> (width - 1)) & 1
-            signed = ax - sign * (1 << width)
-            sh = np.minimum(ay, width)
-            return _wrap(signed >> sh, width, True)
+        ax, ay = vals[0].arr, vals[1].arr
+        if head == "bvudiv":  # x / 0 is all ones, which ~0 is
+            return _bv(np.where(ay == 0, ~ay, ax // np.maximum(ay, 1)), width)
+        if head == "bvurem":  # x % 0 is x
+            return _bv(np.where(ay == 0, ax, ax % np.maximum(ay, 1)), width)
+        if head == "bvshl":  # a shift by width or more moves every bit out
+            return _bv(ax << np.minimum(ay, width), width)
+        if head == "bvlshr":
+            return _bv(ax >> np.minimum(ay, width), width)
+        if head == "bvashr":  # a negative x is the complement of its complement shifted
+            sh = np.minimum(ay, width - 1)
+            complement = ~ax & ((1 << width) - 1)
+            return _bv(np.where(ax >> (width - 1) == 1, ~(complement >> sh), ax >> sh), width)
         if head in ("bvult", "bvule", "bvugt", "bvuge", "bvslt", "bvsle", "bvsgt", "bvsge"):
-            if head[2] == "s":
-                flip = (1 << (width - 1)) if obj else np.uint64(1 << (width - 1))
+            if head[2] == "s":  # flipping the sign bit orders signed values as unsigned
+                flip = 1 << (width - 1)
                 ax, ay = ax ^ flip, ay ^ flip
-            op = head[-2:]
-            if op == "lt":
-                r = ax < ay
-            elif op == "le":
-                r = ax <= ay
-            elif op == "gt":
-                r = ax > ay
-            else:
-                r = ax >= ay
-            return BoolVal(np.asarray(r, dtype=bool))
+            return BoolVal(_BV_COMPARISONS[head[-2:]](ax, ay))
         raise Unsupported(f"bitvector operator {head}")
 
     # -- theory side conditions (sampled witnesses)
@@ -701,7 +631,7 @@ def _run(engine: Engine, args) -> int:
         elif head == "check-sat":
             if args.hang_flag_file and os.path.exists(args.hang_flag_file):
                 os.unlink(args.hang_flag_file)
-                time.sleep(args.hang_seconds)
+                time.sleep(_HANG_SECONDS)
             reply(engine.check_sat())
         elif head == "get-value" and len(sexpr) == 2 and isinstance(sexpr[1], list):
             reply(engine.get_value(sexpr[1]))
@@ -750,24 +680,13 @@ def main(argv=None) -> int:
         description="Bounded brute-force SMT-LIB2 solver (testing backend).",
     )
     parser.add_argument(
-        "--max-grid-bits",
-        type=int,
-        default=22,
-        help="largest total bitvector/bool state space to enumerate (2^N rows)",
-    )
-    parser.add_argument(
         "--hang-flag-file",
         default=None,
-        help="if this file exists when check-sat arrives, delete it and stall once",
-    )
-    parser.add_argument(
-        "--hang-seconds",
-        type=float,
-        default=30.0,
-        help="how long the one flagged check-sat stalls",
+        help="if this file exists when check-sat arrives, delete it and stall"
+        f" once for {_HANG_SECONDS:g} s",
     )
     args = parser.parse_args(argv)
-    engine = Engine(max_grid_bits=args.max_grid_bits)
+    engine = Engine()
     try:
         return _run(engine, args)
     except (KeyboardInterrupt, BrokenPipeError):

@@ -283,7 +283,7 @@ class TestSolverHang:
     @pytest.mark.parametrize("runner", ["count", "baseline", "bench"])
     def test_hang_after_the_third_model_is_a_timeout(self, tmp_path, monkeypatch, runner):
         flag = tmp_path / "hang"
-        cmd = f"{MINISOLVE_CMD} --hang-flag-file {flag} --hang-seconds 60"
+        cmd = f"{MINISOLVE_CMD} --hang-flag-file {flag}"
 
         class HangsAfterThirdModel(SubprocessOracle):
             models = 0

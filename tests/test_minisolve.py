@@ -59,6 +59,30 @@ GROUND_IDENTITIES = [
     ("(=> false true)", True),
     ("(=> true false)", False),
     ("(xor true false)", True),
+    # uint64 shifts by exactly 64 must move every bit out
+    ("(= (bvshl #xffffffffffffffff #x0000000000000040) #x0000000000000000)", True),
+    ("(= (bvlshr #xffffffffffffffff #x0000000000000040) #x0000000000000000)", True),
+    # 80-bit values, stored as Python ints; A = 2^79 + 5
+    ("(= (bvudiv #x80000000000000000005 #x00000000000000000000) #xffffffffffffffffffff)", True),
+    ("(= (bvurem #x80000000000000000005 #x00000000000000000000) #x80000000000000000005)", True),
+    ("(= (bvudiv #x80000000000000000005 #x00000000000000000002) #x40000000000000000002)", True),
+    ("(= (bvurem #x80000000000000000005 #x00000000000000000002) #x00000000000000000001)", True),
+    ("(= ((_ sign_extend 8) #x8000000000000001) #xff8000000000000001)", True),  # 64 -> 72
+    ("(= ((_ sign_extend 16) #x7000000000000001) #x00007000000000000001)", True),
+    ("(= (ite (bvult #b01 #b10) #x80000000000000000005 #x00000000000000000001)"
+     " #x80000000000000000005)", True),
+    ("(= (bvshl #x80000000000000000005 (_ bv80 80)) (_ bv0 80))", True),    # shift >= width
+    ("(= (bvlshr #x80000000000000000005 (_ bv81 80)) (_ bv0 80))", True),
+    ("(= (bvashr #x80000000000000000005 (_ bv200 80)) #xffffffffffffffffffff)", True),
+    ("(= (bvashr #x40000000000000000005 (_ bv80 80)) (_ bv0 80))", True),
+    ("(= (bvashr #x80000000000000000005 (_ bv4 80)) #xf8000000000000000000)", True),
+    ("(= ((_ extract 71 56) #x00abcd00000000000000) #xabcd)", True),          # across bit 64
+    ("(= (concat #xab #xcd00000000000000) #xabcd00000000000000)", True),
+    ("(bvslt #x80000000000000000000 #x00000000000000000001)", True),           # -2^79 < 1
+    ("(bvslt #x00000000000000000001 #xffffffffffffffffffff)", False),          # 1 < -1
+    ("(= (bvneg #x00000000000000000001) #xffffffffffffffffffff)", True),       # -1
+    ("(= (bvmul #x80000000000000000000 #x00000000000000000002) (_ bv0 80))", True),  # 2^80
+    ("(= (bvmul #x00000000010000000001 #x00000000010000000001) #x00000000020000000001)", True),
 ]
 
 
