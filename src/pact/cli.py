@@ -159,13 +159,12 @@ def _run(config: RunConfig, oracle_factory, measure) -> tuple[ResultRecord, int]
     deadline = started + config.timeout
     oracle = None
     try:
-        text = Path(config.input).read_text()
-        script = parse_declarations(text)
+        script = parse_declarations(Path(config.input).read_text())
         projection = _projection_for(config, script)
         if oracle_factory is None:
             oracle = SubprocessOracle(
                 config.solver_cmd,  # None falls through to the environment/default
-                text,
+                script,
                 deadline=deadline,  # loading the script counts against it too
             )
         else:

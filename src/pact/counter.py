@@ -86,66 +86,44 @@ def get_constants(epsilon: float, delta: float, family: Family) -> Constants:
 
 
 class ModelCache:
-    """The distinct projected models one count has fetched, and how deep
-    each lies along the current iteration's hash chain.
+    """The distinct projected models one count has fetched.
 
     A hash constraint reads only projection variables, so the cache decides
     with the hash semantics alone which of its models lie in a cell: those
-    meeting the cell's leading chain constraints.  The chain is the list
-    the iteration passed to `start_chain`: the cache reads the constraints
-    the iteration appends to it, and never changes it.  Models are kept as
-    one column per projection variable, as `hashing.value_columns` lays
-    them out.
-    `_depth[m]` is the number of leading chain constraints model m meets,
-    counted over the first `_evaluated` of them; constraints drawn since
-    are evaluated, on the models meeting all the others, at the next count.
-    The constraints of one chain share their family and slicing, so each
-    count costs a fixed number of array operations, whatever the number of
-    models or constraints.
+    meeting the cell's leading chain constraints, evaluated afresh on every
+    cached model at each count.  The chain is the list the iteration passed
+    to `start_chain`: the cache reads the constraints the iteration appends
+    to it, and never changes it.  Models are kept as one column per
+    projection variable, as `hashing.value_columns` lays them out.
     """
 
     def __init__(self, projection: ProjectionSet):
         self.projection = projection
         self._widths = [v.width for v in projection.variables]
         self._columns = value_columns(self._widths, [])
-        self._depth = np.empty(0, dtype=np.intp)
         self._seen: set[tuple[int, ...]] = set()
         self._chain: list[HashConstraint] = []
-        self._evaluated = 0
-
-    def _named(self, columns) -> dict[str, np.ndarray]:
-        return dict(zip(self.projection.names, columns))
-
-    def _at(self, at: np.ndarray) -> dict[str, np.ndarray]:
-        return self._named([col[at] for col in self._columns])
-
-    @staticmethod
-    def _leading(constraints, columns) -> np.ndarray:
-        """How many leading constraints each model meets."""
-        met = satisfied(constraints, columns)
-        return np.where(met.all(axis=0), len(constraints), met.argmin(axis=0))
 
     def start_chain(self, chain: list[HashConstraint]) -> None:
         self._chain = chain
-        self._evaluated = 0
-        self._depth[:] = 0
 
-    def _evaluate_chain(self) -> None:
-        pending = self._chain[self._evaluated :]
-        if pending:
-            at = np.flatnonzero(self._depth == self._evaluated)
-            if at.size:
-                self._depth[at] += self._leading(pending, self._at(at))
-            self._evaluated = len(self._chain)
+    def _in_cell(self, columns, index: int, extra: HashConstraint | None) -> np.ndarray:
+        """Whether each model in `columns` meets the first `index` chain
+        constraints, and `extra` too when given."""
+        named = dict(zip(self.projection.names, columns))
+        inside = np.ones(len(columns[0]), dtype=bool)
+        if index:
+            inside &= satisfied(self._chain[:index], named).all(axis=0)
+        if extra is not None:
+            inside &= satisfied([extra], named)[0]
+        return inside
 
     def members(self, index: int, extra: HashConstraint | None = None) -> np.ndarray:
         """Models in the cell of the first `index` chain constraints, and
         of `extra` too when given."""
-        self._evaluate_chain()
-        at = np.flatnonzero(self._depth >= index)
-        if extra is not None and at.size:
-            at = at[satisfied([extra], self._at(at))[0]]
-        return at
+        if not self._seen:
+            return np.empty(0, dtype=np.intp)
+        return np.flatnonzero(self._in_cell(self._columns, index, extra))
 
     def clause(self, at: np.ndarray) -> BlockingClause | None:
         """One assertion blocking the models at `at`, or None for none."""
@@ -159,18 +137,10 @@ class ModelCache:
         names, after checking that each is new and lies in that cell."""
         if not models:
             return
-        self._evaluate_chain()
         names = self.projection.names
         rows = [tuple(map(model.__getitem__, names)) for model in models]
         columns = value_columns(self._widths, rows)
-        named = self._named(columns)
-        if self._chain:
-            depth = self._leading(self._chain, named)
-        else:
-            depth = np.zeros(len(rows), dtype=np.intp)
-        outside = depth < index
-        if extra is not None:
-            outside |= ~satisfied([extra], named)[0]
+        outside = ~self._in_cell(columns, index, extra)
         if outside.any():
             raise InconsistentOracle(
                 "the oracle returned a model outside the cell it was counting: "
@@ -184,7 +154,6 @@ class ModelCache:
                 )
             self._seen.add(row)
         self._columns = [np.concatenate(pair) for pair in zip(self._columns, columns)]
-        self._depth = np.concatenate((self._depth, depth))
 
 
 def saturating_count(

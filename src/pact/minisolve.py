@@ -530,8 +530,9 @@ class Engine:
 
     def push(self, n: int) -> None:
         for _ in range(n):
-            top = self.frames[-1]
-            self.frames.append(Frame(top.mask.copy()))
+            # shared: declare and assert replace a frame's mask and never
+            # write into it
+            self.frames.append(Frame(self.frames[-1].mask))
 
     def pop(self, n: int) -> str | None:
         if n > len(self.frames) - 1:

@@ -367,14 +367,6 @@ def default_solver_command() -> str:
     return os.environ.get(SOLVER_ENV_VAR) or DEFAULT_SOLVER
 
 
-# What a subprocess handle lets pile up between reads, well under a pipe's
-# 64 KiB.  A flush always finds the solver's input pipe empty, and the acks
-# it owes fit in its output pipe, so neither side blocks on a full pipe
-# while the other waits for it.
-_MAX_OWED_ACKS = 256
-_MAX_UNFLUSHED_BYTES = 16384
-
-
 class SubprocessOracle(Oracle):
     """Client for any SMT-LIB2 solver process on stdin/stdout.
 
@@ -388,13 +380,12 @@ class SubprocessOracle(Oracle):
     it, at the next answer, or in `close()` when nothing follows, and that
     ends the session: the commands after it were sent as if it had
     succeeded.  The constructor reads the load's acks before it returns.
-    What is in flight is capped: once 256 acks are owed or 16 KiB of
-    commands are unflushed, the owed acks are read before the next command
-    is buffered.
+    A flush never blocks: while the solver's input pipe is full, the handle
+    reads what the solver sends, so neither side waits on the other.
 
-    No read waits past `deadline`; one that runs out kills the solver and
-    raises `OracleTimeout`, and the handle is unusable from then on.  A
-    failure while starting up closes what was opened and re-raises.
+    No read or write waits past `deadline`; one that runs out kills the
+    solver and raises `OracleTimeout`, and the handle is unusable from then
+    on.  A failure while starting up closes what was opened and re-raises.
     `stats.solver_time` is the time spent in check-sat and get-value,
     including the owed acks read there.
     """
@@ -420,7 +411,7 @@ class SubprocessOracle(Oracle):
         self._stderr_file = None
         self._proc = None
         self._selector = None
-        self._buf = b""
+        self._buf = bytearray()
         self._reader = SexprReader()
         self._unflushed = bytearray()
         self._owed: deque[str] = deque()  # commands whose `success` is not read yet
@@ -436,6 +427,7 @@ class SubprocessOracle(Oracle):
                 )
             except OSError as exc:
                 raise SolverCrashed(f"cannot start solver {self.command!r}: {exc}") from exc
+            os.set_blocking(self._proc.stdin.fileno(), False)
             os.set_blocking(self._proc.stdout.fileno(), False)
             self._selector = selectors.DefaultSelector()
             self._selector.register(self._proc.stdout, selectors.EVENT_READ)
@@ -492,21 +484,19 @@ class SubprocessOracle(Oracle):
         self._unflushed += text.encode() + b"\n"
 
     def _flush(self) -> None:
-        if self._unflushed:
+        """Send the buffered commands without blocking: while the solver's
+        input pipe is full, read what it sends, until the deadline (`_wait`)."""
+        data, self._unflushed = memoryview(self._unflushed), bytearray()
+        while data:
             try:
-                self._proc.stdin.write(self._unflushed)
-                self._proc.stdin.flush()
+                data = data[os.write(self._proc.stdin.fileno(), data) :]
+            except BlockingIOError:
+                self._wait("solver did not read its input in time", writing=True)
             except OSError as exc:  # BrokenPipeError among them
                 raise self._crashed(f"solver pipe broke: {exc}") from exc
-            self._unflushed.clear()
 
     def _send(self, cmd: str) -> None:
         """Buffer a command whose only reply is `success`; its ack is owed."""
-        if (
-            len(self._owed) >= _MAX_OWED_ACKS
-            or len(self._unflushed) + len(cmd) >= _MAX_UNFLUSHED_BYTES
-        ):
-            self._drain()
         self._write(cmd)
         self._owed.append(cmd)
 
@@ -524,36 +514,44 @@ class SubprocessOracle(Oracle):
             self._teardown_process()
             raise
 
-    def _read_line(self, deadline: float | None) -> str | None:
-        while b"\n" not in self._buf:
-            timeout = None
-            if deadline is not None:
-                timeout = deadline - time.monotonic()
-                if timeout <= 0:
-                    return None
+    def _wait(self, what: str, writing: bool = False) -> None:
+        """Wait, no later than the deadline, for the solver's output, which
+        goes into `_buf`, or, when `writing`, for room in its input.  A
+        deadline that runs out first kills the solver and raises
+        `OracleTimeout(what)`: the session ends."""
+        timeout = None
+        if self.deadline is not None:
+            timeout = self.deadline - time.monotonic()
+            if timeout <= 0:
+                self._log("#", "timeout: killing the session")
+                self._teardown_process()
+                raise OracleTimeout(what)
+        if writing:
+            self._selector.register(self._proc.stdin, selectors.EVENT_WRITE)
+        try:
             events = self._selector.select(timeout)
-            if not events:
-                continue  # re-check the deadline
-            try:
-                chunk = os.read(self._proc.stdout.fileno(), 65536)
-            except BlockingIOError:
-                continue
-            if chunk == b"":
-                raise self._crashed("solver exited unexpectedly")
-            self._buf += chunk
-        line, _, self._buf = self._buf.partition(b"\n")
-        return line.decode(errors="replace")
+        finally:
+            if writing:
+                self._selector.unregister(self._proc.stdin)
+        if not any(key.fileobj is self._proc.stdout for key, _ in events):
+            return  # room in the solver's input, or the deadline to re-check
+        try:
+            chunk = os.read(self._proc.stdout.fileno(), 65536)
+        except BlockingIOError:
+            return
+        if chunk == b"":
+            raise self._crashed("solver exited unexpectedly")
+        self._buf += chunk
 
     def _reply(self, waiting_for: str) -> tuple[object, Form]:
         """The next solver response, to the command `waiting_for`, as
         (sexpr, Form), read before the deadline.  One that does not come in
         time kills the solver: the session ends with the timeout."""
         while True:
-            line = self._read_line(self.deadline)
-            if line is None:
-                self._log("#", "timeout: killing the session")
-                self._teardown_process()
-                raise OracleTimeout(f"solver did not answer {waiting_for!r} in time")
+            while (end := self._buf.find(b"\n")) < 0:
+                self._wait(f"solver did not answer {waiting_for!r} in time")
+            line = self._buf[:end].decode(errors="replace")
+            del self._buf[: end + 1]  # cheap at the front of a bytearray
             try:
                 replies = list(iter_top_forms(line + "\n", self._reader))
             except MalformedScript as exc:

@@ -1,6 +1,7 @@
 """InMemory filtering against hand-computed survivors; subprocess protocol
 against the bundled brute-force solver."""
 
+import os
 import re
 import shlex
 import sys
@@ -521,6 +522,20 @@ os.write(1, b"success\n" * batch.count(b"\n"))
 """
 
 
+# a stand-in that writes its pid to the file its argument names, acknowledges
+# three commands (the two handshake options and a declaration), then stops
+# reading for 10 s and exits
+STOPS_READING = r"""
+import os, sys, time
+with open(sys.argv[1], "w") as f:
+    f.write(str(os.getpid()))
+for _ in range(3):
+    sys.stdin.readline()
+    print("success", flush=True)
+time.sleep(10)
+"""
+
+
 class TestOwedAcks:
     """Acks of push, pop and assert are read lazily, in order, before the
     next answer or in close()."""
@@ -596,6 +611,23 @@ class TestOwedAcks:
         with make_oracle(script, command=fake_solver(), deadline=start + 10) as oracle:
             assert oracle.check_sat() is SolverResult.SAT
         assert time.monotonic() - start < 10
+
+    def test_a_write_the_solver_does_not_read_ends_at_the_deadline(self, tmp_path):
+        # a 550 kB assertion fills the stand-in's input pipe; a write that
+        # waited for room would end in a broken pipe once the stand-in exits
+        # after 10 s, so a regression fails instead of hanging
+        script = "(declare-const x (_ BitVec 8))\n(assert (or %s))\n" % " ".join(
+            f"(= x #x{i % 256:02x})" for i in range(50_000)
+        )
+        pid_file, log = tmp_path / "pid", tmp_path / "wire.log"
+        command = [sys.executable, "-c", STOPS_READING, str(pid_file)]
+        start = time.monotonic()
+        with pytest.raises(OracleTimeout, match="did not read its input"):
+            make_oracle(script, command=command, deadline=start + 2, transcript=log)
+        assert time.monotonic() - start < 3  # within a second of the deadline
+        assert log.read_text().splitlines()[-1].startswith("# timeout")
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid_file.read_text()), 0)  # killed and reaped
 
     def test_every_command_gets_one_reply_in_order(self, tmp_path):
         script = "(declare-const x (_ BitVec 8))\n(assert (bvult x #xc8))\n"
