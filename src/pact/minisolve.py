@@ -10,8 +10,9 @@ Anything outside its fragment gets an honest `unknown`, never a guess.
 Every term evaluates to a numpy array over the grid (one element when it
 names no grid variable).  A width-w bitvector is stored as uint64 when w
 <= 64 and as Python ints (object dtype) above, always reduced mod 2^w:
-`_dtype` is the one place that chooses, and `_bv` builds every operator's
-result.  A boolean is a bool array.
+`_dtype` is the one place that chooses, and `_bv` reduces every
+operator's result that can leave the range; `_widen` only re-types a value
+an extension or a concatenation widens.  A boolean is a bool array.
 
 Run as `pact-minisolve`; see --help for the test-only hang knob.
 """
@@ -96,6 +97,12 @@ def _bv(arr: np.ndarray, width: int) -> BVVal:
     if dtype is object:
         arr = arr.astype(object, copy=False)  # widen before reducing
     return BVVal(width, (arr & ((1 << width) - 1)).astype(dtype, copy=False))
+
+
+def _widen(x: BVVal, width: int) -> BVVal:
+    """`x` as a value of `width` >= x.width bits: already reduced, so only
+    the dtype changes, and only where `width` crosses 64 bits."""
+    return BVVal(width, x.arr.astype(_dtype(width), copy=False))
 
 
 def _bv_literal(value: int, width: int) -> BVVal:
@@ -289,10 +296,10 @@ class Engine:
             return _bv(x.arr >> lo, hi - lo + 1)
         if head[1] == "zero_extend" and len(head) == 3 and len(args) == 1:
             x = self._expect_bv(args[0], env)
-            return _bv(x.arr, x.width + int(head[2]))
+            return _widen(x, x.width + int(head[2]))
         if head[1] == "sign_extend" and len(head) == 3 and len(args) == 1:
             x = self._expect_bv(args[0], env)
-            wide = _bv(x.arr, x.width + int(head[2]))
+            wide = _widen(x, x.width + int(head[2]))
             high = (1 << wide.width) - (1 << x.width)
             negative = (wide.arr >> (x.width - 1)) == 1
             return _bv(np.where(negative, wide.arr | high, wide.arr), wide.width)
@@ -336,7 +343,7 @@ class Engine:
             if isinstance(t, BoolVal) and isinstance(f, BoolVal):
                 return BoolVal(np.where(c, t.arr, f.arr))
             if isinstance(t, BVVal) and isinstance(f, BVVal) and t.width == f.width:
-                return _bv(np.where(c, t.arr, f.arr), t.width)
+                return BVVal(t.width, np.where(c, t.arr, f.arr))
             raise Unsupported("ite branches disagree")
         if head.startswith("bv"):
             return self._eval_bvop(head, args, env)
@@ -345,8 +352,7 @@ class Engine:
             for a in args[1:]:
                 nxt = self._expect_bv(a, env)
                 width = acc.width + nxt.width
-                high = _bv(acc.arr, width).arr << nxt.width
-                acc = _bv(high | _bv(nxt.arr, width).arr, width)
+                acc = BVVal(width, _widen(acc, width).arr << nxt.width | _widen(nxt, width).arr)
             return acc
         raise Unsupported(f"operator {head}")
 

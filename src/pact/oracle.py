@@ -38,7 +38,7 @@ from .errors import (
     StackUnderflow,
     UnknownVariable,
 )
-from .hashing import HashConstraint, satisfied, value_columns
+from .hashing import HashConstraint, column_dtype, satisfied
 from .smtlib import (
     BlockingClause,
     Form,
@@ -194,7 +194,13 @@ class InMemoryOracle(Oracle):
 
     The set is held once, as one column per variable: its values in sorted
     row order, at the narrowest unsigned dtype of its width
-    (`hashing.value_columns`); nothing is kept per row.  Each frame is a
+    (`hashing.value_columns`); nothing is kept per row.  The constructor
+    reads each solution once, into its values as Python ints (a scalar is
+    one value), and checks its arity.  The rest is one numpy pass, the same
+    at every width and for every input form: each column is range-checked
+    by its minimum and maximum and cast to its dtype, the rows are put in
+    tuple order by stable argsorts from the last column to the first, and
+    each row equal to the one before it is dropped.  Each frame is a
     sorted array of live row indices, so the first model is always the
     smallest live row and every result is deterministic.  A push shares the
     top array; a constraint replaces it with its survivors, and `count_upto`
@@ -211,22 +217,35 @@ class InMemoryOracle(Oracle):
     ):
         super().__init__()
         k = len(projection)
-        widths = [v.width for v in projection.variables]
-        rows: set[tuple[int, ...]] = set()
-        for sol in solutions:
-            row = (int(sol),) if isinstance(sol, (int, np.integer)) else tuple(
-                int(v) for v in sol
-            )
-            if len(row) != k:
-                raise ValueError(f"expected {k} values per solution, got {len(row)}")
-            for v, w in zip(row, widths):
-                if not 0 <= v < (1 << w):
-                    raise ValueError(f"value {v} out of range for width {w}")
-            rows.add(row)
+        values: list[int] = []  # row-major, k per solution
+        n = 0
+        for n, sol in enumerate(solutions, 1):
+            start = len(values)
+            if isinstance(sol, (int, np.integer)):
+                values.append(int(sol))
+            else:
+                values.extend(map(int, sol))
+            if len(values) - start != k:
+                raise ValueError(f"expected {k} values per solution, got {len(values) - start}")
+        table = np.array(values, dtype=object).reshape(n, k)
+        columns = []
+        for col, var in zip(table.T, projection.variables):
+            for v in (col.min(), col.max()) if n else ():
+                if not 0 <= v < 1 << var.width:
+                    raise ValueError(f"value {v} out of range for width {var.width}")
+            columns.append(col.astype(column_dtype(var.width)))
+        order = np.arange(n)
+        for col in reversed(columns):  # stable sorts, last key first: tuple order
+            order = order[np.argsort(col[order], kind="stable")]
+        columns = [col[order] for col in columns]
+        fresh = np.zeros(n, dtype=bool)  # unequal to the row before it
+        fresh[:1] = True
+        for col in columns:
+            fresh[1:] |= col[1:] != col[:-1]
         self._names = projection.names
         self._positions = {name: j for j, name in enumerate(self._names)}
-        self._columns = value_columns(widths, sorted(rows))
-        self._size = len(rows)
+        self._columns = [col[fresh] for col in columns]
+        self._size = int(np.count_nonzero(fresh))
         self._frames: list[np.ndarray] = [np.arange(self._size, dtype=np.intp)]
 
     @property

@@ -22,7 +22,14 @@ from pact.errors import (
     StackUnderflow,
     UnknownVariable,
 )
-from pact.hashing import Family, HashConstraint, Slice, eval_hash, generate_hash
+from pact.hashing import (
+    Family,
+    HashConstraint,
+    Slice,
+    eval_hash,
+    generate_hash,
+    value_columns,
+)
 from pact.oracle import InMemoryOracle, Oracle, SolverResult, SubprocessOracle
 from pact.smtlib import BlockingClause, ProjectionSet, SortedVar, resolve_projection, parse_declarations
 
@@ -202,6 +209,81 @@ class TestInMemoryStack:
         for projection, solution in [(XY, (1,)), (XY, 1), (X3, (1, 2)), (WIDE, (1, 2, 3)), (X3, ())]:
             with pytest.raises(ValueError):
                 InMemoryOracle(projection, [solution])
+
+    @pytest.mark.parametrize("width", [1, 3, 8, 32, 63, 64, 70])
+    def test_top_value_of_a_width_accepted(self, width):
+        top = 2**width - 1
+        oracle = InMemoryOracle(proj(bv("z", width)), [top, 0, top])
+        assert oracle.live_values() == [(0,), (top,)]
+
+    def test_one_past_uint64_rejected(self):
+        z64 = proj(bv("z", 64))
+        assert InMemoryOracle(z64, [2**64 - 1]).live_values() == [(2**64 - 1,)]
+        with pytest.raises(ValueError, match=r"value 18446744073709551616 .* width 64"):
+            InMemoryOracle(z64, [2**64 - 1, 2**64])
+
+    @pytest.mark.parametrize("scalar", [np.int8(-1), np.int64(-3), np.int64(-(2**63))])
+    def test_negative_numpy_scalar_rejected(self, scalar):
+        for projection, solution in [(X3, scalar), (X3, (scalar,)), (WIDE, (scalar, 0))]:
+            with pytest.raises(ValueError, match=rf"value {int(scalar)} .* width"):
+                InMemoryOracle(projection, [solution])
+
+    def test_bad_row_after_many_good_ones_rejected(self):
+        good = [(v % 4, v % 3) for v in range(10_000)]
+        with pytest.raises(ValueError, match=r"value 4 out of range for width 2"):
+            InMemoryOracle(XY, good + [(1, 4)])
+        with pytest.raises(ValueError, match=r"expected 2 values per solution, got 3"):
+            InMemoryOracle(XY, good + [(1, 2, 3)])
+
+
+def _as_input(value: int, form: str):
+    """`value` as the solution element `form` names: a Python int or a
+    numpy scalar of a dtype that holds it."""
+    if form == "numpy":
+        for dtype in (np.uint8, np.int16, np.uint32, np.int64, np.uint64):
+            if value <= np.iinfo(dtype).max:
+                return dtype(value)
+    return value  # past 64 bits only a Python int holds it
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_columns_match_the_sorted_deduplicated_reference(data):
+    """The constructor's columns equal `value_columns` of the sorted set of
+    rows, in values, dtype and layout, for one or two variables at widths
+    1-70, from Python ints, numpy scalars, 1-tuples and one-shot generators,
+    with duplicates and empty inputs."""
+    widths = data.draw(st.lists(st.integers(1, 70), min_size=1, max_size=2), label="widths")
+    p = proj(*(bv(f"v{j}", w) for j, w in enumerate(widths)))
+    row = st.tuples(*(st.integers(0, 2**w - 1) for w in widths))
+    distinct = data.draw(st.lists(row, max_size=40), label="rows")
+    rows = distinct + data.draw(
+        st.lists(st.sampled_from(distinct), max_size=10) if distinct else st.just([]),
+        label="duplicates",
+    )
+    data.draw(st.randoms(use_true_random=False), label="shuffle").shuffle(rows)
+    forms = st.sampled_from(["int", "numpy"])
+    solutions = []
+    for r in rows:
+        values = [_as_input(v, data.draw(forms)) for v in r]
+        scalar = len(values) == 1 and data.draw(st.booleans(), label="scalar")
+        solutions.append(values[0] if scalar else tuple(values))
+    one_shot = data.draw(st.booleans(), label="one-shot")
+    oracle = InMemoryOracle(p, (s for s in solutions) if one_shot else solutions)
+
+    want = value_columns(widths, sorted(set(rows)))
+    assert len(oracle._columns) == len(want)
+    for got, ref in zip(oracle._columns, want):
+        assert got.dtype == ref.dtype
+        assert got.flags.c_contiguous
+        assert got.tolist() == ref.tolist()
+    live = oracle.live_values()
+    assert live == sorted(set(rows))
+    assert all(type(v) is int for r in live for v in r)
+    if live:
+        model = oracle.get_projected_model(p)
+        assert model == dict(zip(p.names, live[0]))
+        assert all(type(v) is int for v in model.values())
 
 
 @settings(max_examples=60, deadline=None)
