@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import corpus
 from .baseline import BaselineStatus, enumerate_count
-from .counter import pact_count
+from .counter import fresh_seed, pact_count
 from .errors import MalformedScript, OracleTimeout, PactError
 from .hashing import Family
 from .oracle import InMemoryOracle, SubprocessOracle
@@ -183,7 +183,10 @@ def _run(config: RunConfig, oracle_factory, measure) -> tuple[ResultRecord, int]
 def run_count(config: RunConfig, oracle_factory=None) -> tuple[ResultRecord, int]:
     """Approximate count of one script.  `oracle_factory(script, projection)`
     overrides solver spawning, which keeps tests and the memory backend
-    hermetic."""
+    hermetic.  A config without a seed gets a fresh one first, so every
+    record, timeout and error records too, names the seed that repeats it."""
+    if config.seed is None:
+        config = replace(config, seed=fresh_seed())
     return _run(config, oracle_factory, _count)
 
 

@@ -4,28 +4,29 @@ One iteration draws a chain of hash constraints, from a random stream
 keyed by the seed and the iteration, and finds the chain's boundary: the
 fewest leading constraints whose cell's saturating count falls below the
 threshold.  The search starts at the previous iteration's boundary,
-gallops up or down from it and then bisects.  The iteration optionally
-swaps the boundary constraint for a coarser one to land the count as close
-under the threshold as possible, and scales the cell count by the number
-of cells: the product of the range sizes of the constraints the cell
-meets.  The chain is one list, owned by the iteration and read by the
-model cache.  The reported estimate is the median over many such
-iterations, which boosts the per-iteration confidence to the requested
-level.  The boundary of a chain does not depend on where its search
-started, so an estimate depends on the seed alone.  Every model the
-oracle returns is cached for the whole count, so a cell's known members
-are counted, and blocked, without asking the oracle for them again.  An
-oracle that counts a cell in one step (the in-memory one) returns no
-models, so its cache stays empty.
+gallops up or down from it and then bisects.  A refinement then swaps
+coarser candidates into the boundary's place in the chain while their
+counts stay exact.  One probe counts every cell: it moves the oracle's
+stack to the chain's leading constraints and hands the model cache the
+same list.  The estimate scales the cell count by the product of the
+range sizes of the cell's constraints, and the reported estimate is the
+median over many iterations, which boosts the per-iteration confidence to
+the requested level.  The boundary of a chain does not depend on where
+its search started, so an estimate depends on the seed alone.  Every
+model the oracle returns is cached for the whole count, so a cell's known
+members are counted, and blocked, without asking the oracle for them
+again.  An oracle that counts a cell in one step (the in-memory one)
+returns no models, so its cache stays empty.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -90,10 +91,8 @@ class ModelCache:
 
     A hash constraint reads only projection variables, so the cache decides
     with the hash semantics alone which of its models lie in a cell: those
-    meeting the cell's leading chain constraints, evaluated afresh on every
-    cached model at each count.  The chain is the list the iteration passed
-    to `start_chain`: the cache reads the constraints the iteration appends
-    to it, and never changes it.  Models are kept as one column per
+    meeting each constraint of the cell it is handed, evaluated afresh on
+    every cached model at each count.  Models are kept as one column per
     projection variable, as `hashing.value_columns` lays them out.
     """
 
@@ -102,28 +101,22 @@ class ModelCache:
         self._widths = [v.width for v in projection.variables]
         self._columns = value_columns(self._widths, [])
         self._seen: set[tuple[int, ...]] = set()
-        self._chain: list[HashConstraint] = []
 
-    def start_chain(self, chain: list[HashConstraint]) -> None:
-        self._chain = chain
-
-    def _in_cell(self, columns, index: int, extra: HashConstraint | None) -> np.ndarray:
-        """Whether each model in `columns` meets the first `index` chain
-        constraints, and `extra` too when given."""
+    def _in_cell(self, columns, cell: Sequence[HashConstraint]) -> np.ndarray:
+        """Whether each model in `columns` meets every constraint of `cell`,
+        in runs of one range exponent and slicing, as `satisfied` takes them:
+        a refinement candidate is drawn lower than the chain above it."""
         named = dict(zip(self.projection.names, columns))
         inside = np.ones(len(columns[0]), dtype=bool)
-        if index:
-            inside &= satisfied(self._chain[:index], named).all(axis=0)
-        if extra is not None:
-            inside &= satisfied([extra], named)[0]
+        for _, run in itertools.groupby(cell, key=lambda c: (c.ell, c.slices)):
+            inside &= satisfied(list(run), named).all(axis=0)
         return inside
 
-    def members(self, index: int, extra: HashConstraint | None = None) -> np.ndarray:
-        """Models in the cell of the first `index` chain constraints, and
-        of `extra` too when given."""
+    def members(self, cell: Sequence[HashConstraint]) -> np.ndarray:
+        """Indices of the cached models in `cell`."""
         if not self._seen:
             return np.empty(0, dtype=np.intp)
-        return np.flatnonzero(self._in_cell(self._columns, index, extra))
+        return np.flatnonzero(self._in_cell(self._columns, cell))
 
     def clause(self, at: np.ndarray) -> BlockingClause | None:
         """One assertion blocking the models at `at`, or None for none."""
@@ -132,15 +125,15 @@ class ModelCache:
         rows = zip(*(col[at].tolist() for col in self._columns))
         return BlockingClause(self.projection, tuple(rows))
 
-    def add(self, models, index: int, extra: HashConstraint | None = None) -> None:
-        """Cache models the oracle found in the cell `members(index, extra)`
-        names, after checking that each is new and lies in that cell."""
+    def add(self, models, cell: Sequence[HashConstraint]) -> None:
+        """Cache models the oracle found in `cell`, after checking that each
+        is new and lies in that cell."""
         if not models:
             return
         names = self.projection.names
         rows = [tuple(map(model.__getitem__, names)) for model in models]
         columns = value_columns(self._widths, rows)
-        outside = ~self._in_cell(columns, index, extra)
+        outside = ~self._in_cell(columns, cell)
         if outside.any():
             raise InconsistentOracle(
                 "the oracle returned a model outside the cell it was counting: "
@@ -161,32 +154,30 @@ def saturating_count(
     projection: ProjectionSet,
     thresh: int,
     cache: ModelCache | None = None,
-    index: int = 0,
-    extra: HashConstraint | None = None,
+    cell: Sequence[HashConstraint] = (),
 ) -> SaturatingCount:
     """Count the current cell up to thresh: exact below it, saturated at it.
 
-    The oracle holds the first `index` constraints of the cache's chain,
-    then `extra` if given.  The cell's cached members count without asking
-    the oracle; when they fall short of thresh, the oracle blocks them with
-    one assertion and enumerates the rest, and what it returns is checked
-    against the cell and cached.  An oracle that counts a cell in one step
-    (`InMemoryOracle`) returns no models, so nothing is checked or cached.
-    Without a cache, a fresh one knows no chain, so only `extra` and
-    repeats are checked.
+    The oracle holds the constraints of `cell`.  The cell's cached members
+    count without asking the oracle; when they fall short of thresh, the
+    oracle blocks them with one assertion and enumerates the rest, and what
+    it returns is checked against the cell and cached.  An oracle that
+    counts a cell in one step (`InMemoryOracle`) returns no models, so
+    nothing is checked or cached.  Without a cache, a fresh one checks the
+    models against `cell` and against each other.
     """
     if thresh < 1:
         raise InvalidParameters(f"threshold must be >= 1, got {thresh}")
     if oracle.deadline is not None and time.monotonic() >= oracle.deadline:
         raise OracleTimeout("time budget spent before counting a cell")
     if cache is None:
-        cache, index = ModelCache(projection), 0
-    known = cache.members(index, extra)
+        cache = ModelCache(projection)
+    known = cache.members(cell)
     if known.size >= thresh:
         return SATURATED
     fetched: list[dict[str, int]] = []
     n = oracle.count_upto(projection, thresh, cache.clause(known), fetched)
-    cache.add(fetched, index, extra)
+    cache.add(fetched, cell)
     return SATURATED if n >= thresh else SaturatingCount.exact(n)
 
 
@@ -280,30 +271,24 @@ def find_median(values) -> int:
 
 
 def fix_last_hash(
-    oracle: Oracle,
-    projection: ProjectionSet,
-    count: SaturatingCount,
+    probe: Callable[[int], SaturatingCount],
     chain: list[HashConstraint],
     index: int,
-    thresh: int,
+    count: SaturatingCount,
+    projection: ProjectionSet,
     rng: random.Random,
-    cache: ModelCache | None = None,
-) -> tuple[HashConstraint, SaturatingCount, int, bool]:
+) -> tuple[SaturatingCount, int, bool]:
     """Swap the boundary constraint for coarser draws while counts stay exact.
 
-    Entered at the chain's boundary `index`, with the oracle holding the
-    first `index - 1` constraints, one per frame: that cell saturates, and
-    `count` is the exact count of the cell the boundary constraint
-    `chain[index - 1]` cuts from it.  Replacement candidates of that
-    constraint's family, at decreasing range exponents below its own, are
-    each tried in a scratch frame on top; an XOR constraint, at exponent 1,
-    has none.  The oracle is left as it was found, unless an error is
-    raised: then the caller unwinds it (`Oracle.unwind`).  The first
-    saturating candidate stops the search and the previously kept
-    constraint stands.  Returns the kept constraint, its exact count, the
-    number of candidates counted, and whether the exponents ran out with
-    every candidate still exact.  `cache` is the count's model cache, whose
-    chain is `chain` (see `saturating_count`).
+    Entered at the chain's boundary `index`, whose cell count `count` is
+    exact.  Replacement candidates of the boundary constraint's family, at
+    decreasing range exponents below its own, each take its place at
+    `chain[index - 1]` and are counted by `probe(index)`, the probe of
+    `find_boundary`; an XOR constraint, at exponent 1, has none.  The first
+    saturating candidate stops the search, and the previously kept
+    constraint is put back in its place.  Returns the kept constraint's
+    exact count, the number of candidates counted, and whether the
+    exponents ran out with every candidate still exact.
     """
     if not count.is_exact:
         raise ValueError(f"the count at boundary index {index} must be exact")
@@ -312,18 +297,14 @@ def fix_last_hash(
     kept, kept_count = chain[index - 1], count
     probes = 0
     for ell_prime in range(kept.ell - 1, 0, -1):
-        candidate = generate_hash(projection, ell_prime, kept.family, rng)
-        oracle.push()
-        oracle.assert_constraint(candidate)
-        candidate_count = saturating_count(
-            oracle, projection, thresh, cache, index - 1, candidate
-        )
-        oracle.pop()
+        chain[index - 1] = generate_hash(projection, ell_prime, kept.family, rng)
+        candidate_count = probe(index)
         probes += 1
         if not candidate_count.is_exact:
-            return kept, kept_count, probes, False
-        kept, kept_count = candidate, candidate_count
-    return kept, kept_count, probes, probes > 0
+            chain[index - 1] = kept
+            return kept_count, probes, False
+        kept, kept_count = chain[index - 1], candidate_count
+    return kept_count, probes, probes > 0
 
 
 @dataclass(frozen=True)
@@ -357,36 +338,43 @@ def _one_iteration(
     entry_depth = oracle.depth
     chain_rng, refine_rng = streams
     chain: list[HashConstraint] = []
-    cache.start_chain(chain)
-    depth = 0  # constraints currently on the oracle stack, one per frame
+    held: list[HashConstraint] = []  # on the oracle stack, one per frame
 
-    def move_to(index: int) -> None:
-        nonlocal depth
-        while len(chain) < index:
-            chain.append(generate_hash(projection, consts.ell, family, chain_rng))
-        for i in range(depth, index):
-            oracle.push()
-            oracle.assert_constraint(chain[i])
-        for _ in range(index, depth):
+    def move_to(cell: list[HashConstraint]) -> None:
+        # pop down to the longest prefix `cell` shares with `held`, push the rest
+        keep = 0
+        while keep < min(len(held), len(cell)) and held[keep] is cell[keep]:
+            keep += 1
+        for _ in range(keep, len(held)):
             oracle.pop()
-        depth = index
+        for c in cell[keep:]:
+            oracle.push()
+            oracle.assert_constraint(c)
+        held[:] = cell
 
     def probe(index: int) -> SaturatingCount:
-        move_to(index)
-        return saturating_count(oracle, projection, consts.thresh, cache, index)
+        while len(chain) < index:
+            chain.append(generate_hash(projection, consts.ell, family, chain_rng))
+        cell = chain[:index]
+        move_to(cell)
+        return saturating_count(oracle, projection, consts.thresh, cache, cell)
 
     try:
         index, count, probes = find_boundary(probe, hint, max_index)
-        move_to(index - 1)
-        kept, kept_count, fix_probes, exhausted = fix_last_hash(
-            oracle, projection, count, chain, index, consts.thresh, refine_rng, cache
+        kept_count, fix_probes, exhausted = fix_last_hash(
+            probe, chain, index, count, projection, refine_rng
         )
-        move_to(0)
+        move_to([])
     except BaseException:
         oracle.unwind(entry_depth)
         raise
-    cells = math.prod(c.range_size for c in chain[: index - 1]) * kept.range_size
+    cells = math.prod(c.range_size for c in chain[:index])
     return kept_count.count * cells, probes + fix_probes, exhausted, index
+
+
+def fresh_seed() -> int:
+    """The seed of a count that is given none."""
+    return random.SystemRandom().getrandbits(32)
 
 
 def pact_count(
@@ -409,7 +397,7 @@ def pact_count(
         raise InvalidParameters(f"oracle must start at depth 0, is at {oracle.depth}")
     consts = get_constants(epsilon, delta, family)
     if seed is None:
-        seed = random.SystemRandom().getrandbits(32)
+        seed = fresh_seed()
     base_stats = oracle.stats.copy()
     cache = ModelCache(projection)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import operator
 import os
 import selectors
 import shlex
@@ -196,15 +197,16 @@ class InMemoryOracle(Oracle):
     row order, at the narrowest unsigned dtype of its width
     (`hashing.value_columns`); nothing is kept per row.  The constructor
     reads each solution once, into its values as Python ints (a scalar is
-    one value), and checks its arity.  The rest is one numpy pass, the same
-    at every width and for every input form: each column is range-checked
-    by its minimum and maximum and cast to its dtype, the rows are put in
-    tuple order by stable argsorts from the last column to the first, and
-    each row equal to the one before it is dropped.  Each frame is a
-    sorted array of live row indices, so the first model is always the
-    smallest live row and every result is deterministic.  A push shares the
-    top array; a constraint replaces it with its survivors, and `count_upto`
-    counts them without enumerating.  Hashes are filtered by
+    one value), and checks its arity; a value that is not an integer, such
+    as a float or a string, is rejected, not converted.  The rest is one
+    numpy pass, the same at every width and for every input form: each
+    column is range-checked by its minimum and maximum and cast to its
+    dtype, the rows are put in tuple order by stable argsorts from the
+    last column to the first, and each row equal to the one before it is
+    dropped.  Each frame is a sorted array of live row indices, so the
+    first model is always the smallest live row and every result is
+    deterministic.  A push shares the top array; a constraint replaces it
+    with its survivors, and `count_upto` counts them without enumerating.  Hashes are filtered by
     `hashing.satisfied` at every width (in object dtype past 64 bits).  A
     blocking clause drops each live row equal to one of its rows on the
     clause's variables, whatever their order and however many it names.
@@ -222,9 +224,14 @@ class InMemoryOracle(Oracle):
         for n, sol in enumerate(solutions, 1):
             start = len(values)
             if isinstance(sol, (int, np.integer)):
-                values.append(int(sol))
+                values.append(operator.index(sol))
             else:
-                values.extend(map(int, sol))
+                try:
+                    if isinstance(sol, (str, bytes)):
+                        raise TypeError
+                    values.extend(map(operator.index, sol))
+                except TypeError:
+                    raise TypeError(f"solution {sol!r} is not an int or a sequence of ints") from None
             if len(values) - start != k:
                 raise ValueError(f"expected {k} values per solution, got {len(values) - start}")
         table = np.array(values, dtype=object).reshape(n, k)

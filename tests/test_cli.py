@@ -6,6 +6,7 @@ import json
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -181,6 +182,18 @@ class TestRunCount:
         inst, script = write_instance(tmp_path, spec)
         record, _ = run_count(RunConfig("count", str(script)), memory_factory(inst))
         assert record.seed is not None
+
+    def test_timed_out_count_records_its_fresh_seed(self, tmp_path):
+        spec = InstanceSpec("inst", "interval", 16, 30_000, seed=1)
+        inst, script = write_instance(tmp_path, spec)
+        config = RunConfig("count", str(script), timeout=0.001)
+        record, code = run_count(config, memory_factory(inst))
+        assert code == EXIT_TIMEOUT
+        assert isinstance(record.seed, int)
+        assert record.config["seed"] == record.seed
+        rerun = replace(config, seed=record.seed, timeout=600.0)
+        again, code = run_count(rerun, memory_factory(inst))
+        assert (code, again.status, again.seed) == (EXIT_OK, "ok", record.seed)
 
     def test_same_seed_same_record(self, tmp_path):
         spec = InstanceSpec("inst", "interval", 10, 300, seed=2)

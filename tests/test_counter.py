@@ -1,6 +1,7 @@
 """Counting-loop tests: frozen constants, boundary search, refinement,
 and end-to-end estimates on sets of known size."""
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -126,29 +127,37 @@ class TestModelCache:
         p = proj(8)
         oracle = EnumeratingOracle(p, range(100))
         cache = ModelCache(p)
-        cache.add([{"x": v} for v in range(0, 100, 2)], 0)
+        cache.add([{"x": v} for v in range(0, 100, 2)], ())
         assert saturating_count(oracle, p, 200, cache) == SaturatingCount.exact(100)
         # one combined clause, then one clause per fetched model
         assert oracle.stats.assertions_sent == 1 + 50
         assert oracle.stats.check_sat_calls == 50 + 1  # the last says unsat
-        assert cache.members(0).size == 100
+        assert cache.members(()).size == 100
 
     def test_a_model_outside_the_cell_is_inconsistent(self):
         p = proj(8)
         oracle = IgnoresHashes(p, range(40))
         cache = ModelCache(p)
         c = low_bit_is_zero(8)
-        cache.start_chain([c])
         oracle.push()
         oracle.assert_constraint(c)
         with pytest.raises(InconsistentOracle, match="outside the cell"):
-            saturating_count(oracle, p, 73, cache, 1)
+            saturating_count(oracle, p, 73, cache, [c])
 
-    def test_a_candidate_is_checked_too(self):
+    def test_a_refinement_candidate_is_checked_too(self):
+        # the boundary constraint meets every value, so the oracle's answers
+        # lie in its cell; the first candidate's cell is only some of them
         p = proj(8)
         oracle = IgnoresHashes(p, range(40))
+        rng = random.Random(3)
+        chain = [generate_hash(p, 4, Family.PRIME, rng)]
+        chain[0] = dataclasses.replace(chain[0], coeffs=(0, 0), offset=0, target=0)
+        cache = ModelCache(p)
         with pytest.raises(InconsistentOracle, match="outside the cell"):
-            saturating_count(oracle, p, 73, ModelCache(p), 0, low_bit_is_zero(8))
+            fix_last_hash(
+                cell_probe(oracle, p, chain, cache=cache),
+                chain, 1, SaturatingCount.exact(40), p, rng,
+            )
 
     def test_a_repeated_model_is_inconsistent(self):
         p = proj(8)
@@ -160,7 +169,7 @@ class TestModelCache:
         p = proj(8)
         oracle = IgnoresBlocks(p, range(40))
         cache = ModelCache(p)
-        cache.add([{"x": 0}], 0)
+        cache.add([{"x": 0}], ())
         with pytest.raises(InconsistentOracle, match="already returned"):
             saturating_count(oracle, p, 73, cache)
 
@@ -180,6 +189,21 @@ def scan_chain(p, values, family, seed, k, thresh=73, ell=1):
         oracle.assert_constraint(c)
         counts.append(saturating_count(oracle, p, thresh))
     return counts, chain
+
+
+def cell_probe(oracle, p, chain, thresh=73, cache=None):
+    """A probe as `find_boundary` and `fix_last_hash` call it: count the
+    cell of the chain's first i constraints in a frame of its own."""
+
+    def probe(i):
+        oracle.push()
+        for c in chain[:i]:
+            oracle.assert_constraint(c)
+        count = saturating_count(oracle, p, thresh, cache, chain[:i])
+        oracle.pop()
+        return count
+
+    return probe
 
 
 def first_exact(counts):
@@ -290,14 +314,12 @@ class TestMaxIndexAndEstimate:
         for k in range(iterations):
             counts, chain = scan_chain(p, values, family, seed=9, k=k, ell=4)
             index = first_exact(counts)
-            oracle = InMemoryOracle(p, values)
-            for c in chain[: index - 1]:
-                oracle.push()
-                oracle.assert_constraint(c)
+            probe = cell_probe(InMemoryOracle(p, values), p, chain)
             _, refine_rng = iteration_streams(9, k)
-            kept, kept_count, _, _ = fix_last_hash(
-                oracle, p, counts[index], chain, index, 73, refine_rng
+            kept_count, _, _ = fix_last_hash(
+                probe, chain, index, counts[index], p, refine_rng
             )
+            kept = chain[index - 1]
             estimates.append(
                 kept_count.count * cells_per_constraint ** (index - 1) * kept.range_size
             )
@@ -328,58 +350,69 @@ class TestMedian:
 
 
 def prepared_boundary(n, width, family, seed, thresh=73, ell=4):
-    """Count the cell of one constraint over a size-n set, and take the
-    constraint off again: a boundary at index 1 when its count is exact."""
+    """Count the cell of one constraint over a size-n set: a boundary at
+    index 1 when its count is exact."""
     p = proj(width)
     oracle = InMemoryOracle(p, range(n))
     rng = random.Random(seed)
-    c = generate_hash(p, ell, family, rng)
-    oracle.push()
-    oracle.assert_constraint(c)
-    count = saturating_count(oracle, p, thresh)
-    oracle.pop()
-    return oracle, p, [c], rng, count
+    chain = [generate_hash(p, ell, family, rng)]
+    probe = cell_probe(oracle, p, chain, thresh)
+    return oracle, p, chain, rng, probe, probe(1)
 
 
 class TestFixLastHash:
     def test_xor_is_untouched(self):
         # 100 solutions: one parity constraint leaves ~50, well under thresh
-        oracle, p, chain, rng, count = prepared_boundary(
+        oracle, p, chain, rng, probe, count = prepared_boundary(
             100, 10, Family.XOR, seed=1, ell=1
         )
         assert count.is_exact
-        kept, kept_count, probes, exhausted = fix_last_hash(
-            oracle, p, count, chain, 1, 73, rng
-        )
-        assert (kept, kept_count, probes, exhausted) == (chain[0], count, 0, False)
+        boundary = chain[0]
+        kept_count, probes, exhausted = fix_last_hash(probe, chain, 1, count, p, rng)
+        assert (chain, kept_count, probes, exhausted) == ([boundary], count, 0, False)
         assert oracle.depth == 0
 
     def test_prime_exhausts_and_keeps_coarsest(self):
         # n=150: cells at p=17 average ~9, and every coarser candidate
         # (11, 5, 3) still lands far below thresh=73, so the refinement
         # runs out of exponents
-        oracle, p, chain, rng, count = prepared_boundary(
+        oracle, p, chain, rng, probe, count = prepared_boundary(
             150, 10, Family.PRIME, seed=5
         )
         assert count.is_exact
-        kept, kept_count, probes, exhausted = fix_last_hash(
-            oracle, p, count, chain, 1, 73, rng
-        )
+        kept_count, probes, exhausted = fix_last_hash(probe, chain, 1, count, p, rng)
         assert exhausted
         assert probes == 3
-        assert kept_count.is_exact
-        assert kept.range_size == 3  # coarsest prime kept
+        assert kept_count == probe(1)
+        assert chain[0].range_size == 3  # coarsest prime kept
+        assert oracle.depth == 0
+
+    def test_a_saturating_candidate_puts_the_kept_constraint_back(self):
+        # 9,000 values: a p=17 cell holds ~530 and a 17x17 one ~31, so the
+        # boundary is at 2; the p=11 candidate's ~48 stays exact and the
+        # p=5 one's ~106 saturates, so the p=11 candidate is put back
+        p = proj(16)
+        oracle = InMemoryOracle(p, range(9_000))
+        rng = random.Random(0)
+        chain = [generate_hash(p, 4, Family.PRIME, rng) for _ in range(2)]
+        probe = cell_probe(oracle, p, chain)
+        count = probe(2)
+        assert count.is_exact and not probe(1).is_exact
+        kept_count, probes, exhausted = fix_last_hash(probe, chain, 2, count, p, rng)
+        assert (probes, exhausted) == (2, False)
+        assert chain[1].range_size == 11
+        assert kept_count == probe(2) == SaturatingCount.exact(47)
         assert oracle.depth == 0
 
     def test_precondition_checks(self):
-        oracle, p, chain, rng, count = prepared_boundary(
+        oracle, p, chain, rng, probe, count = prepared_boundary(
             150, 10, Family.PRIME, seed=5
         )
         with pytest.raises(ValueError):
-            fix_last_hash(oracle, p, SATURATED, chain, 1, 73, rng)
+            fix_last_hash(probe, chain, 1, SATURATED, p, rng)
         for index in (0, 2):
             with pytest.raises(ValueError):
-                fix_last_hash(oracle, p, count, chain, index, 73, rng)
+                fix_last_hash(probe, chain, index, count, p, rng)
 
 
 class TestPactCount:
@@ -505,6 +538,37 @@ class TestPactCount:
                 result.exhausted_refinements,
                 result.stats.check_sat_calls,
             ) == (estimate, raw, probes, exhausted, sats), oracle_type.__name__
+
+    # The same nine counts' assertions (chain constraints, refinement
+    # candidates and blocking clauses), when each cell is counted in one
+    # step and when it is enumerated model by model.  They pin the
+    # push/assert sequence of the boundary search and the refinement.
+    PINNED_ASSERTIONS = [
+        (Family.XOR, 1, 481, 3645),
+        (Family.XOR, 2, 479, 3604),
+        (Family.XOR, 3, 481, 3659),
+        (Family.PRIME, 1, 447, 5002),
+        (Family.PRIME, 2, 445, 4990),
+        (Family.PRIME, 3, 448, 5010),
+        (Family.SHIFT, 1, 383, 4820),
+        (Family.SHIFT, 2, 390, 4817),
+        (Family.SHIFT, 3, 378, 4801),
+    ]
+
+    @pytest.mark.parametrize(
+        "family, seed, one_step_assertions, assertions",
+        PINNED_ASSERTIONS,
+        ids=[f"{family}-{seed}" for family, seed, *_ in PINNED_ASSERTIONS],
+    )
+    def test_pinned_assertions(self, family, seed, one_step_assertions, assertions):
+        p = proj(16)
+        values = random.Random(16).sample(range(2**16), 5_000)
+        for oracle_type, sent in (
+            (InMemoryOracle, one_step_assertions),
+            (EnumeratingOracle, assertions),
+        ):
+            result = pact_count(oracle_type(p, values), p, family=family, seed=seed)
+            assert result.stats.assertions_sent == sent, oracle_type.__name__
 
     def test_rejects_bad_arguments(self):
         oracle = InMemoryOracle(proj(4), range(4))

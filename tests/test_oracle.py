@@ -205,6 +205,20 @@ class TestInMemoryStack:
             with pytest.raises(ValueError):
                 InMemoryOracle(projection, [solution])
 
+    @pytest.mark.parametrize("projection, solution, named", [
+        (X3, (3.7,), "3.7"),
+        (X3, 3.0, "3.0"),
+        (X3, ("5",), "'5'"),
+        (XY, ("1", 2), "'1'"),
+        (XY, "12", "'12'"),
+        (XY, b"12", "b'12'"),
+    ], ids=["float", "whole-float", "numeric-string", "string-among-ints", "bare-string",
+            "bare-bytes"])
+    def test_non_integer_value_rejected(self, projection, solution, named):
+        # int() would read 3.7 as 3, "5" as 5 and the string "12" as (1, 2)
+        with pytest.raises((TypeError, ValueError), match=re.escape(named)):
+            InMemoryOracle(projection, [(0,) * len(projection), solution])
+
     def test_wrong_arity_rejected(self):
         for projection, solution in [(XY, (1,)), (XY, 1), (X3, (1, 2)), (WIDE, (1, 2, 3)), (X3, ())]:
             with pytest.raises(ValueError):

@@ -127,24 +127,20 @@ def test_rendered_text_matches_every_evaluator(family, shape):
             if prefix:
                 met = satisfied(prefix, cols).all(axis=0)
                 assert {row for row, keep in zip(rows, met) if keep} == expected
-        # the cache as a count drives it: constraints drawn one at a time,
-        # cells probed in between, and models found deep in the chain
+        # the cache as a count drives it: every cell a chain prefix, and
+        # models found deep in the chain
         cache = ModelCache(p)
         early, late = rows[::2], rows[1::2]
-        cache.add([dict(zip(p.names, row)) for row in early], 0)
-        drawn_chain = []
-        cache.start_chain(drawn_chain)
-        for drawn, c in enumerate(constraints, start=1):
-            drawn_chain.append(c)
-            for i in range(drawn + 1):
-                got = {early[m] for m in cache.members(i)}
-                assert got == reference_survivors(p, early, constraints[:i])
-        deep = len(constraints) // 2
-        found = sorted(reference_survivors(p, late, constraints[:deep]))
+        cache.add([dict(zip(p.names, row)) for row in early], ())
+        for i in range(len(constraints) + 1):
+            got = {early[m] for m in cache.members(constraints[:i])}
+            assert got == reference_survivors(p, early, constraints[:i])
+        deep = constraints[: len(constraints) // 2]
+        found = sorted(reference_survivors(p, late, deep))
         cache.add([dict(zip(p.names, row)) for row in found], deep)
         cached = early + found
         for i in range(len(constraints) + 1):
-            got = {cached[m] for m in cache.members(i)}
+            got = {cached[m] for m in cache.members(constraints[:i])}
             assert got == reference_survivors(p, cached, constraints[:i])
 
         oracle = InMemoryOracle(p, rows)
@@ -188,21 +184,23 @@ def test_prime_sums_past_64_bits_run_on_python_ints(widths, ell):
 
 @pytest.mark.parametrize("family", [Family.PRIME, Family.SHIFT], ids=str)
 def test_refinement_candidate_is_checked_by_every_evaluator(family):
-    """A candidate drawn at a coarser exponent than its chain is checked on
-    its own, next to the chain prefix it replaces the end of."""
-    p = projection((5, 3))
-    rng = random.Random(f"candidate/{family}")
-    rows = points((5, 3), rng)
-    constraints = [generate_hash(p, 4, family, rng) for _ in range(3)]
-    cache = ModelCache(p)
-    cache.add([dict(zip(p.names, row)) for row in rows], 0)
-    cache.start_chain(constraints)
-    for ell in (3, 2, 1):
-        candidate = generate_hash(p, ell, family, rng)
-        cell = constraints[:2] + [candidate]
-        expected = reference_survivors(p, rows, cell)
-        assert engine_survivors(p, rows, cell) == expected
-        assert {rows[m] for m in cache.members(2, candidate)} == expected
+    """A candidate drawn at a lower exponent than its chain is checked
+    apart from the chain prefix it replaces the end of, also where the two
+    exponents slice the projection alike (3-bit variables at 4 and 3)."""
+    for widths in ((5, 3), (3, 3, 3)):
+        p = projection(widths)
+        rng = random.Random(f"candidate/{family}/{widths}")
+        rows = points(widths, rng, n=1000)
+        constraints = [generate_hash(p, 4, family, rng) for _ in range(2)]
+        cache = ModelCache(p)
+        cache.add([dict(zip(p.names, row)) for row in rows], ())
+        for ell in (3, 2, 1):
+            candidate = generate_hash(p, ell, family, rng)
+            for i in (1, 2):
+                cell = constraints[:i] + [candidate]
+                expected = reference_survivors(p, rows, cell)
+                assert engine_survivors(p, rows, cell) == expected
+                assert {rows[m] for m in cache.members(cell)} == expected
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=str)
