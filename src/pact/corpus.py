@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .smtlib import _bits
+from .smtlib import bv_text
 
 KINDS = ("interval", "scatter", "product", "hybrid")
 
@@ -55,9 +55,9 @@ def _interval_term(var: str, width: int, lo: int, hi: int) -> str:
     """Membership in [lo, hi); bounds at the domain edge are dropped."""
     parts = []
     if lo > 0:
-        parts.append(f"(bvuge {var} {_bits(lo, width)})")
+        parts.append(f"(bvuge {var} {bv_text(lo, width)})")
     if hi < 2**width:
-        parts.append(f"(bvult {var} {_bits(hi, width)})")
+        parts.append(f"(bvult {var} {bv_text(hi, width)})")
     if not parts:
         return "true"
     if len(parts) == 1:

@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import MalformedScript
 from .smtlib import SexprReader, iter_top_forms, unquote_symbol
+from .smtlib import bitvector_width, bv_literal, bv_text, declaration
 
 
 class Unsupported(Exception):
@@ -76,6 +77,9 @@ _REAL_CANDIDATES = tuple(
     Fraction(x) for x in (0, 1, -1, "1/2", 2, -2, 100, -100)
 )
 _MAX_THEORY_VARS = 4
+_MAX_GRID_BITS = 22
+_SORT_KINDS = {"Bool": ("bool", 1), "Real": ("real", 0)}  # and (_ BitVec w), (_ FloatingPoint e s)
+_SORT_KINDS.update(dict.fromkeys(("Float16", "Float32", "Float64", "Float128"), ("fp", 0)))
 _HANG_SECONDS = 60.0
 
 _BV_FOLDS = {
@@ -106,7 +110,8 @@ def _widen(x: BVVal, width: int) -> BVVal:
 
 
 def _bv_literal(value: int, width: int) -> BVVal:
-    return BVVal(width, np.array([value & ((1 << width) - 1)], dtype=_dtype(width)))
+    """A `bv_literal` (value, width), already reduced."""
+    return BVVal(width, np.array([value], dtype=_dtype(width)))
 
 
 def _decode_fp_literal(sign: str, exp: str, sig: str) -> float:
@@ -130,12 +135,8 @@ def _decode_fp_literal(sign: str, exp: str, sig: str) -> float:
 
 
 class Engine:
-    def __init__(self, max_grid_bits: int = 22):
-        self.max_grid_bits = max_grid_bits
+    def __init__(self):
         self.print_success = False
-        self._reset_state()
-
-    def _reset_state(self) -> None:
         self.grid: dict[str, GridVar] = {}
         self.theory: dict[str, str] = {}  # name -> "fp" | "real"
         self.total_bits = 0
@@ -158,7 +159,7 @@ class Engine:
             self.theory[name] = label
             return None
         bits = width if label == "bv" else 1
-        if self.total_bits + bits > self.max_grid_bits:
+        if self.total_bits + bits > _MAX_GRID_BITS:
             self.grid[name] = GridVar(label, width, None)
             self.total_bits += bits
             return None
@@ -179,19 +180,12 @@ class Engine:
 
     @staticmethod
     def _sort_kind(sort):
+        width = bitvector_width(sort)
+        if width is not None:
+            return ("bv", width)
         if isinstance(sort, str):
-            if sort == "Bool":
-                return ("bool", 1)
-            if sort == "Real":
-                return ("real", 0)
-            if sort in ("Float16", "Float32", "Float64", "Float128"):
-                return ("fp", 0)
-            return None
-        if isinstance(sort, list) and len(sort) == 3 and sort[0] == "_":
-            if sort[1] == "BitVec" and sort[2].isdigit():
-                w = int(sort[2])
-                return ("bv", w) if w >= 1 else None
-        if isinstance(sort, list) and len(sort) == 4 and sort[:2] == ["_", "FloatingPoint"]:
+            return _SORT_KINDS.get(sort)
+        if len(sort) == 4 and sort[:2] == ["_", "FloatingPoint"]:
             return ("fp", 0)
         return None
 
@@ -253,7 +247,10 @@ class Engine:
         if isinstance(head, list):
             return self._eval_indexed(head, e[1:], env)
         if head == "_":
-            return self._eval_indexed(e, [], env)  # bare (_ bvN w) literal
+            literal = bv_literal(e)
+            if literal is None:
+                raise Unsupported(f"indexed term {e!r}")
+            return _bv_literal(*literal)
         if head == "let" and len(e) == 3:
             inner = dict(env)
             for binding in e[1]:
@@ -272,10 +269,9 @@ class Engine:
             return BoolVal(np.ones(1, dtype=bool))
         if token == "false":
             return BoolVal(np.zeros(1, dtype=bool))
-        if token.startswith("#b"):
-            return _bv_literal(int(token[2:], 2), len(token) - 2)
-        if token.startswith("#x"):
-            return _bv_literal(int(token[2:], 16), (len(token) - 2) * 4)
+        literal = bv_literal(token)
+        if literal is not None:
+            return _bv_literal(*literal)
         var = self.grid.get(name)
         if var is not None:
             if var.col is None:
@@ -303,8 +299,6 @@ class Engine:
             high = (1 << wide.width) - (1 << x.width)
             negative = (wide.arr >> (x.width - 1)) == 1
             return _bv(np.where(negative, wide.arr | high, wide.arr), wide.width)
-        if head[1].startswith("bv") and head[1][2:].isdigit() and len(head) == 3:
-            return _bv_literal(int(head[1][2:]), int(head[2]))
         raise Unsupported(f"indexed operator {head!r}")
 
     def _expect_bv(self, e, env) -> BVVal:
@@ -575,7 +569,7 @@ class Engine:
             if var.kind == "bool":
                 rendered = "true" if bool(raw) else "false"
             else:
-                rendered = "#b" + format(int(raw), f"0{var.width}b")
+                rendered = bv_text(int(raw), var.width)
             parts.append(f"({tok} {rendered})")
         return "(" + " ".join(parts) + ")"
 
@@ -604,19 +598,11 @@ def _run(engine: Engine, args) -> int:
         elif head in ("set-logic", "set-info"):
             ack()
         elif head in ("declare-const", "declare-fun"):
-            if head == "declare-fun":
-                if len(sexpr) != 4 or sexpr[2] != []:
-                    engine.frames[-1].tainted = True
-                    ack()
-                    return True
-                name, sort = unquote_symbol(sexpr[1]), sexpr[3]
-            else:
-                if len(sexpr) != 3:
-                    reply('(error "malformed declaration")')
-                    return True
-                name, sort = unquote_symbol(sexpr[1]), sexpr[2]
-            err = engine.declare(name, sort)
-            if err:
+            decl = declaration(sexpr)
+            if decl is None:  # a function with arguments: outside the fragment
+                engine.frames[-1].tainted = True
+                ack()
+            elif err := engine.declare(*decl):
                 reply(f'(error "{err}")')
             else:
                 ack()
@@ -642,15 +628,9 @@ def _run(engine: Engine, args) -> int:
             reply(engine.check_sat())
         elif head == "get-value" and len(sexpr) == 2 and isinstance(sexpr[1], list):
             reply(engine.get_value(sexpr[1]))
-        elif head == "get-info":
-            reply('((:name "pact-minisolve"))')
         elif head == "echo" and len(sexpr) == 2:
             reply(sexpr[1])
-        elif head == "reset":
-            engine.print_success = False
-            engine._reset_state()
-            ack()
-        elif head == "reset-assertions":
+        elif head == "reset-assertions":  # a script's own: the oracle passes it on
             base = engine.frames[0]
             engine.frames = [Frame(np.ones_like(base.mask))]
             ack()
@@ -670,6 +650,9 @@ def _run(engine: Engine, args) -> int:
                     continue
                 try:
                     keep_going = handle(sexpr)
+                except MalformedScript as exc:  # a malformed declaration or BitVec width
+                    reply(f'(error "{_clean(str(exc))}")')
+                    continue
                 except Exception as exc:
                     reply(f'(error "internal: {_clean(repr(exc))}")')
                     continue

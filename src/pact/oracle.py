@@ -46,6 +46,7 @@ from .smtlib import (
     ProjectionSet,
     SexprReader,
     SmtScript,
+    bv_literal,
     iter_top_forms,
     parse_declarations,
     quote_symbol,
@@ -413,7 +414,8 @@ class SubprocessOracle(Oracle):
     solver and raises `OracleTimeout`, and the handle is unusable from then
     on.  A failure while starting up closes what was opened and re-raises.
     `stats.solver_time` is the time spent in check-sat and get-value,
-    including the owed acks read there.
+    including the owed acks read there.  With a `transcript` path, every
+    command and reply is appended to that file, which `close()` closes.
     """
 
     def __init__(
@@ -422,7 +424,7 @@ class SubprocessOracle(Oracle):
         script: SmtScript | str = "",
         *,
         deadline: float | None = None,
-        transcript=None,
+        transcript: str | Path | None = None,
     ):
         super().__init__()
         if command is None:
@@ -430,10 +432,7 @@ class SubprocessOracle(Oracle):
         self.command = shlex.split(command) if isinstance(command, str) else list(command)
         self.script = parse_declarations(script) if isinstance(script, str) else script
         self.deadline = deadline
-        self._owns_transcript = isinstance(transcript, (str, Path))
-        if self._owns_transcript:
-            transcript = open(transcript, "a", encoding="utf-8")
-        self._transcript = transcript
+        self._transcript = None if transcript is None else open(transcript, "a", encoding="utf-8")
         self._stderr_file = None
         self._proc = None
         self._selector = None
@@ -665,17 +664,12 @@ class SubprocessOracle(Oracle):
         for pair in pairs:
             if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)):
                 raise ProtocolError(f"malformed get-value pair in {text!r}")
-            values[unquote_symbol(pair[0])] = _parse_bv_value(pair[1], text)
+            values[unquote_symbol(pair[0])] = pair[1]
         out: dict[str, int] = {}
         for var in projection.variables:
             if var.name not in values:
                 raise ProtocolError(f"solver omitted {var.name!r} in {text!r}")
-            v = values[var.name]
-            if not 0 <= v < (1 << var.width):
-                raise ProtocolError(
-                    f"value {v} out of range for {var.name!r} (width {var.width})"
-                )
-            out[var.name] = v
+            out[var.name] = _bv_value(values[var.name], var, text)
         return out
 
     def close(self) -> None:
@@ -693,25 +687,22 @@ class SubprocessOracle(Oracle):
             if self._stderr_file is not None:
                 self._stderr_file.close()
                 self._stderr_file = None
-            if self._owns_transcript and self._transcript is not None:
+            if self._transcript is not None:
                 self._transcript.close()
                 self._transcript = None
 
 
-def _parse_bv_value(value, context: str) -> int:
-    if isinstance(value, str):
-        if value.startswith("#b"):
-            return int(value[2:], 2)
-        if value.startswith("#x"):
-            return int(value[2:], 16)
-        if value.isdigit():
-            return int(value)
-    elif (
-        isinstance(value, list)
-        and len(value) == 3
-        and value[0] == "_"
-        and isinstance(value[1], str)
-        and value[1].startswith("bv")
-    ):
-        return int(value[1][2:])
-    raise ProtocolError(f"cannot parse bitvector value {value!r} in {context!r}")
+def _bv_value(term, var, context: str) -> int:
+    """The value of bitvector `var` in a get-value reply: a literal of
+    its width, or a decimal numeral below 2^width."""
+    literal = bv_literal(term)
+    if literal is not None:
+        value, width = literal
+        if width != var.width:
+            raise ProtocolError(f"{width}-bit value {term!r} for {var.name!r} (width {var.width})")
+        return value
+    if not (isinstance(term, str) and term.isascii() and term.isdigit()):
+        raise ProtocolError(f"cannot parse bitvector value {term!r} in {context!r}")
+    if int(term) >> var.width:
+        raise ProtocolError(f"value {term} out of range for {var.name!r} (width {var.width})")
+    return int(term)

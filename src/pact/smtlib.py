@@ -1,11 +1,13 @@
-"""SMT-LIB2 front end: the one place that knows S-expression syntax.
+"""SMT-LIB2 front end: the one place that knows SMT-LIB syntax.
 
 Its incremental reader splits input scripts, solver replies and minisolve
-input alike into top-level forms.  It extracts the nullary declarations a
-projection can name, resolves the projection set, and renders hash
-constraints / blocking clauses as SMT-LIB2 assertions over pure QF_BV
-operators.  Input scripts are never rewritten: downstream code works with
-verbatim top-level form slices.
+input alike into top-level forms.  It reads declarations (`declaration`),
+BitVec sorts (`bitvector_width`) and bitvector literals (`bv_literal`) for
+the script parser, the subprocess oracle's reply parser and minisolve
+alike.  It resolves the projection set, and renders hash constraints /
+blocking clauses as SMT-LIB2 assertions over pure QF_BV operators with `#b`
+literals (`bv_text`).  Input scripts are never rewritten: downstream code
+works with verbatim top-level form slices.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ _TOKEN_RE = re.compile(
 
 # SMT-LIB simple symbols need no |...| quoting
 _SIMPLE_SYMBOL_RE = re.compile(r"[a-zA-Z~!@$%^&*_+=<>.?/-][a-zA-Z0-9~!@$%^&*_+=<>.?/-]*\Z")
+
+_WIDTH_RE = re.compile(r"0*[1-9][0-9]*\Z")
+# `#b...`, `#x...`, and `(_ bvN w)` as its three atoms joined by spaces
+_BV_LITERAL_RE = re.compile(r"#b([01]+)\Z|#x([0-9a-fA-F]+)\Z|_ bv([0-9]+) (0*[1-9][0-9]*)\Z")
 
 _PROJECTED_VARS_RE = re.compile(r"^\s*;+\s*projected-vars:\s*(.*?)\s*$", re.MULTILINE)
 
@@ -220,24 +226,49 @@ def quote_symbol(name: str) -> str:
     return f"|{name}|"
 
 
-def _parse_sort(sexpr, line: int) -> tuple[str, int | None]:
-    """Return (sort_text, width) for a declaration's sort expression."""
-    if isinstance(sexpr, str):
-        return sexpr, None
-    if (
-        len(sexpr) == 3
-        and sexpr[0] == "_"
-        and sexpr[1] == "BitVec"
-        and isinstance(sexpr[2], str)
-    ):
-        try:
-            width = int(sexpr[2])
-        except ValueError:
-            raise MalformedScript(f"non-integer bitvector width {sexpr[2]!r}", line)
-        if width < 1:
-            raise MalformedScript(f"bitvector width must be >= 1, got {width}", line)
-        return f"(_ BitVec {width})", width
-    return _render_sexpr(sexpr), None
+def declaration(sexpr, line: int | None = None):
+    """(name, sort) of a `declare-const` or nullary `declare-fun` form, the
+    sort as its nested form; None for any other form, a `declare-fun` that
+    takes arguments among them.  Raises MalformedScript on a malformed one."""
+    head = sexpr[0] if isinstance(sexpr, list) and sexpr else None
+    if head == "declare-const":
+        if len(sexpr) != 3 or not isinstance(sexpr[1], str):
+            raise MalformedScript("malformed declare-const", line)
+        return unquote_symbol(sexpr[1]), sexpr[2]
+    if head == "declare-fun":
+        if len(sexpr) != 4 or not isinstance(sexpr[1], str) or not isinstance(sexpr[2], list):
+            raise MalformedScript("malformed declare-fun", line)
+        return (unquote_symbol(sexpr[1]), sexpr[3]) if sexpr[2] == [] else None
+    return None
+
+
+def bitvector_width(sort, line: int | None = None) -> int | None:
+    """The width of a `(_ BitVec w)` sort; None for any other sort.  Raises
+    MalformedScript when w is not a positive integer."""
+    if not (isinstance(sort, list) and len(sort) == 3 and sort[:2] == ["_", "BitVec"]):
+        return None
+    if not (isinstance(sort[2], str) and _WIDTH_RE.match(sort[2])):
+        width = _render_sexpr(sort[2])
+        raise MalformedScript(f"bitvector width must be a positive integer, got {width}", line)
+    return int(sort[2])
+
+
+def bv_literal(term) -> tuple[int, int] | None:
+    """(value, width) of a bitvector literal: `#b...`, `#x...` or
+    `(_ bvN w)`, whose N is taken mod 2^w; None for any other term."""
+    if isinstance(term, list):
+        if len(term) != 3 or not all(isinstance(t, str) for t in term):
+            return None
+        term = " ".join(term)
+    m = _BV_LITERAL_RE.match(term)
+    if m is None:
+        return None
+    binary, hexadecimal, numeral, width = m.groups()
+    if binary is not None:
+        return int(binary, 2), len(binary)
+    if hexadecimal is not None:
+        return int(hexadecimal, 16), 4 * len(hexadecimal)
+    return int(numeral) % (1 << int(width)), int(width)
 
 
 def _render_sexpr(sexpr) -> str:
@@ -261,23 +292,15 @@ def parse_declarations(text: str) -> SmtScript:
         if head == "set-logic" and logic is None and len(sexpr) == 2:
             logic = unquote_symbol(sexpr[1])
             continue
-        if head not in ("declare-const", "declare-fun"):
+        decl = declaration(sexpr, form.line)
+        if decl is None:
             continue
-        if head == "declare-const":
-            if len(sexpr) != 3 or not isinstance(sexpr[1], str):
-                raise MalformedScript("malformed declare-const", form.line)
-            name_tok, sort_expr = sexpr[1], sexpr[2]
-        else:
-            if len(sexpr) != 4 or not isinstance(sexpr[1], str):
-                raise MalformedScript("malformed declare-fun", form.line)
-            if sexpr[2] != []:  # non-nullary: not projection-eligible
-                continue
-            name_tok, sort_expr = sexpr[1], sexpr[3]
-        name = unquote_symbol(name_tok)
+        name, sort = decl
         if name in seen:
             raise MalformedScript(f"duplicate declaration of {name!r}", form.line)
         seen.add(name)
-        sort_text, width = _parse_sort(sort_expr, form.line)
+        width = bitvector_width(sort, form.line)
+        sort_text = _render_sexpr(sort) if width is None else f"(_ BitVec {width})"
         declarations.append(SortedVar(name, sort_text, width))
     return SmtScript(text, tuple(declarations), logic, tuple(forms))
 
@@ -325,7 +348,8 @@ def read_projection_file(path) -> list[str]:
 # rendering
 
 
-def _bits(value: int, width: int) -> str:
+def bv_text(value: int, width: int) -> str:
+    """A width-bit value as a `#b` literal."""
     return "#b" + format(value, f"0{width}b")
 
 
@@ -346,10 +370,10 @@ def _render_linear_sum(constraint: "HashConstraint") -> str:
     """(bvadd (bvmul a_i x_i') ... b) at the widened width."""
     width = constraint.widened_width
     parts = [
-        f"(bvmul {_bits(coeff, width)} {_extended(_extract(sl, sl.lo, sl.hi), sl.width, width)})"
+        f"(bvmul {bv_text(coeff, width)} {_extended(_extract(sl, sl.lo, sl.hi), sl.width, width)})"
         for coeff, sl in zip(constraint.coeffs, constraint.slices)
     ]
-    parts.append(_bits(constraint.offset, width))
+    parts.append(bv_text(constraint.offset, width))
     if len(parts) == 1:
         return parts[0]
     return "(bvadd " + " ".join(parts) + ")"
@@ -366,7 +390,7 @@ def render_assertion(constraint) -> str:
         symbols = [(quote_symbol(v.name), v.width) for v in constraint.projection.variables]
         negations = []
         for row in constraint.rows:
-            eqs = [f"(= {sym} {_bits(v, width)})" for (sym, width), v in zip(symbols, row)]
+            eqs = [f"(= {sym} {bv_text(v, width)})" for (sym, width), v in zip(symbols, row)]
             body = eqs[0] if len(eqs) == 1 else "(and " + " ".join(eqs) + ")"
             negations.append(f"(not {body})")
         if len(negations) == 1:
@@ -386,14 +410,14 @@ def render_assertion(constraint) -> str:
         if not bits:
             return "(assert true)" if constraint.target == 0 else "(assert false)"
         lhs = bits[0] if len(bits) == 1 else "(bvxor " + " ".join(bits) + ")"
-        return f"(assert (= {lhs} {_bits(constraint.target, 1)}))"
+        return f"(assert (= {lhs} {bv_text(constraint.target, 1)}))"
 
     width = constraint.widened_width
     total = _render_linear_sum(constraint)
     if family is Family.PRIME:
-        lhs = f"(bvurem {total} {_bits(constraint.range_size, width)})"
-        return f"(assert (= {lhs} {_bits(constraint.target, width)}))"
+        lhs = f"(bvurem {total} {bv_text(constraint.range_size, width)})"
+        return f"(assert (= {lhs} {bv_text(constraint.target, width)}))"
     if family is Family.SHIFT:
         lhs = f"((_ extract {width - 1} {width - constraint.ell}) {total})"
-        return f"(assert (= {lhs} {_bits(constraint.target, constraint.ell)}))"
+        return f"(assert (= {lhs} {bv_text(constraint.target, constraint.ell)}))"
     raise ValueError(f"unknown hash family {family!r}")

@@ -5,9 +5,11 @@ import dataclasses
 import hashlib
 import math
 import random
+import sys
 
 import pytest
 
+from pact.corpus import build, smoke_preset
 from pact.counter import (
     SATURATED,
     ModelCache,
@@ -23,8 +25,14 @@ from pact.counter import (
 )
 from pact.errors import ExhaustedIndices, InconsistentOracle, InvalidParameters
 from pact.hashing import Family, HashConstraint, Slice, generate_hash
-from pact.oracle import InMemoryOracle
-from pact.smtlib import BlockingClause, ProjectionSet, SortedVar
+from pact.oracle import InMemoryOracle, SubprocessOracle
+from pact.smtlib import (
+    BlockingClause,
+    ProjectionSet,
+    SortedVar,
+    parse_declarations,
+    resolve_projection,
+)
 from stand_ins import EnumeratingOracle
 
 
@@ -569,6 +577,27 @@ class TestPactCount:
         ):
             result = pact_count(oracle_type(p, values), p, family=family, seed=seed)
             assert result.stats.assertions_sent == sent, oracle_type.__name__
+
+    # The sha256 of the solver transcript of a seed-1 count of the
+    # solver-smoke `smoke-pure-256` instance through pact-minisolve: every
+    # command pact sends and every reply it reads, in order.
+    PINNED_TRANSCRIPTS = {
+        Family.XOR: "0e1a8a47e70b6e8c1eac08f11a803defcf2f8a239dc5481bec2cf1336ce0aff6",
+        Family.PRIME: "f954633c543081783401afe3a27cdae0c21a045ac9a0d1108919d61070aa7f2f",
+        Family.SHIFT: "efcc1edd92a0006f6587c9f2439418a8e9167f29f1cb730178f4c339760d1057",
+    }
+
+    @pytest.mark.parametrize("family", list(PINNED_TRANSCRIPTS), ids=str)
+    def test_pinned_transcripts(self, family, tmp_path):
+        (spec,) = [s for s in smoke_preset(seed=0) if s.name == "smoke-pure-256"]
+        instance = build(spec)
+        p = resolve_projection(parse_declarations(instance.script), instance.projection)
+        log = tmp_path / "wire.log"
+        command = [sys.executable, "-m", "pact.minisolve"]
+        with SubprocessOracle(command, instance.script, transcript=log) as oracle:
+            pact_count(oracle, p, family=family, seed=1)
+        digest = hashlib.sha256(log.read_bytes()).hexdigest()
+        assert digest == self.PINNED_TRANSCRIPTS[family]
 
     def test_rejects_bad_arguments(self):
         oracle = InMemoryOracle(proj(4), range(4))

@@ -140,13 +140,13 @@ class TestGrid:
         assert engine.get_value(["x"]) == "((x #b0101))"
 
     def test_oversize_grid_is_unknown_not_wrong(self):
-        engine = Engine(max_grid_bits=8)
+        engine = Engine()
         engine.declare("x", parse_term("(_ BitVec 30)"))
         engine.add_assert(parse_term("(bvult x #b000000000000000000000000000101)"))
         assert engine.check_sat() == "unknown"
 
     def test_oversize_still_detects_plain_unsat(self):
-        engine = Engine(max_grid_bits=8)
+        engine = Engine()
         engine.declare("x", parse_term("(_ BitVec 30)"))
         engine.add_assert("false")
         assert engine.check_sat() == "unsat"
@@ -263,3 +263,31 @@ class TestProtocol:
             "(check-sat)\n"
         )
         assert lines == ["success", "success", "success", "sat"]
+
+    @pytest.mark.parametrize(
+        "declare, error",
+        [
+            ("(declare-const x (_ BitVec 0))", "bitvector width must be a positive integer, got 0"),
+            ("(declare-const x (_ BitVec y))", "bitvector width must be a positive integer, got y"),
+            ("(declare-fun f (Int))", "malformed declare-fun"),
+            ("(declare-const x)", "malformed declare-const"),
+        ],
+    )
+    def test_a_malformed_declaration_is_an_error_and_declares_nothing(self, declare, error):
+        lines = self.run_session(
+            "(set-option :print-success true)\n"
+            f"{declare}\n"
+            "(declare-const x (_ BitVec 2))\n"
+            "(check-sat)\n"
+        )
+        assert lines == ["success", f'(error "{error}")', "success", "sat"]
+
+    def test_a_function_with_arguments_taints_the_frame(self):
+        lines = self.run_session("(declare-fun f ((_ BitVec 2)) Bool)\n(check-sat)\n")
+        assert lines == ["unknown"]
+
+
+def test_the_solver_loads_only_the_smtlib_front_end():
+    code = "import sys, pact.minisolve; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'pact'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["pact", "pact.errors", "pact.minisolve", "pact.smtlib"]

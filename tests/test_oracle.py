@@ -454,6 +454,12 @@ class TestSubprocess:
         with make_oracle(script) as oracle:
             assert enumerate_count(oracle, p).count == 5
 
+    def test_reset_assertions_in_script_is_passed_on(self):
+        script = "(declare-const x (_ BitVec 4))\n(assert (= x #b0000))\n(reset-assertions)\n"
+        p = projection_of(SCRIPT_5, ["x"])
+        with make_oracle(script + "(assert (bvult x #b0101))\n") as oracle:
+            assert enumerate_count(oracle, p).count == 5
+
     def test_handshake_options_in_script_are_dropped(self):
         script = "(set-option :print-success false)\n" + SCRIPT_5
         p = projection_of(SCRIPT_5, ["x"])
@@ -572,6 +578,10 @@ class TestReplyParsing:
             ("((x))", "malformed get-value pair"),
             ("((y #b0101))", "omitted 'x'"),
             ("((x #q1))", "cannot parse bitvector value"),
+            # a literal of another width, or a numeral out of range
+            ("((x #b00101))", "5-bit value '#b00101' for 'x' \\(width 4\\)"),
+            ("((x #x05))", "8-bit value '#x05' for 'x'"),
+            ("((x 16))", "value 16 out of range for 'x'"),
         ],
     )
     def test_get_value_reply_forms(self, reply, expected):

@@ -10,6 +10,10 @@ from pact.smtlib import (
     ProjectionSet,
     SexprReader,
     SortedVar,
+    bitvector_width,
+    bv_literal,
+    bv_text,
+    declaration,
     iter_top_forms,
     parse_declarations,
     projection_comment_names,
@@ -94,6 +98,82 @@ def test_parse_stray_atom_rejected():
     with pytest.raises(MalformedScript, match="unexpected atom 'oops'") as exc:
         parse_declarations("(set-logic QF_BV)\noops\n(check-sat)")
     assert exc.value.line == 2
+
+
+def parse_term(text):
+    ((sexpr, _form),) = iter_top_forms(text)
+    return sexpr
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("(declare-const x (_ BitVec 4))", ("x", ["_", "BitVec", "4"])),
+        ("(declare-fun |a b| () Bool)", ("a b", "Bool")),
+        ("(declare-fun f ((_ BitVec 4)) Bool)", None),  # takes arguments
+        ("(assert (= x #b01))", None),
+        ("(declare-const x)", "malformed declare-const"),
+        ("(declare-const (x) Bool)", "malformed declare-const"),
+        ("(declare-fun f (Int))", "malformed declare-fun"),
+        ("(declare-fun f Int Int)", "malformed declare-fun"),
+    ],
+)
+def test_declaration(text, expected):
+    if isinstance(expected, str):
+        with pytest.raises(MalformedScript, match=expected):
+            declaration(parse_term(text))
+    else:
+        assert declaration(parse_term(text)) == expected
+
+
+@pytest.mark.parametrize(
+    "sort, expected",
+    [
+        ("(_ BitVec 12)", 12),
+        ("Bool", None),
+        ("(_ FloatingPoint 8 24)", None),
+        ("(_ BitVec 007)", 7),
+        ("(_ BitVec 0)", "must be a positive integer, got 0"),
+        ("(_ BitVec w)", "must be a positive integer, got w"),
+        ("(_ BitVec (4))", "must be a positive integer, got \\(4\\)"),
+    ],
+)
+def test_bitvector_width(sort, expected):
+    sexpr = parse_term(sort) if sort.startswith("(") else sort
+    if isinstance(expected, str):
+        with pytest.raises(MalformedScript, match=expected):
+            bitvector_width(sexpr)
+    else:
+        assert bitvector_width(sexpr) == expected
+
+
+@pytest.mark.parametrize(
+    "term, expected",
+    [
+        ("#b0101", (5, 4)),
+        ("#b00101", (5, 5)),
+        ("#x05", (5, 8)),
+        ("#xfF", (255, 8)),
+        ("(_ bv5 4)", (5, 4)),
+        ("(_ bv20 4)", (4, 4)),  # N mod 2^w
+        ("(_ bv0 80)", (0, 80)),
+        ("x", None),
+        ("true", None),
+        ("5", None),
+        ("#b", None),
+        ("#b012", None),
+        ("(_ bv5 0)", None),
+        ("(_ BitVec 4)", None),
+        ("(bvadd #b01 #b10)", None),
+    ],
+)
+def test_bv_literal(term, expected):
+    assert bv_literal(parse_term(term)) == expected
+
+
+@given(st.integers(1, 130).flatmap(lambda w: st.tuples(st.integers(0, 2**w - 1), st.just(w))))
+def test_bv_literal_reads_bv_text(value_width):
+    assert bv_literal(bv_text(*value_width)) == value_width
 
 
 # ---------------------------------------------------------------------------
