@@ -90,23 +90,24 @@ class ResultRecord:
 
 
 def _projection_for(config: RunConfig, script: SmtScript):
-    """--project wins, then a .proj sidecar, then a script comment."""
-    if config.project:
+    """The names of the first source present: --project, then a .proj
+    sidecar, then a script comment.  None there is an error."""
+    sidecar = Path(config.input).with_suffix(".proj")
+    if config.project is not None:
         if config.project.startswith("@"):
             names = read_projection_file(config.project[1:])
         else:
             names = config.project.replace(",", " ").split()
-        return resolve_projection(script, names)
-    sidecar = Path(config.input).with_suffix(".proj")
-    if sidecar.exists():
-        return resolve_projection(script, read_projection_file(sidecar))
-    names = projection_comment_names(script.text)
-    if names:
-        return resolve_projection(script, names)
-    raise MalformedScript(
-        "no projection given: pass --project, add a .proj sidecar, "
-        "or a '; projected-vars:' comment in the script"
-    )
+    elif sidecar.exists():
+        names = read_projection_file(sidecar)
+    else:
+        names = projection_comment_names(script.text)
+    if not names:
+        raise MalformedScript(
+            "no projection given: pass --project, add a .proj sidecar, "
+            "or a '; projected-vars:' comment in the script"
+        )
+    return resolve_projection(script, names)
 
 
 def _record(config: RunConfig, status: str, count, seed, stats, started, detail=""):

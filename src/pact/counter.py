@@ -12,35 +12,24 @@ same list.  The estimate scales the cell count by the product of the
 range sizes of the cell's constraints, and the reported estimate is the
 median over many iterations, which boosts the per-iteration confidence to
 the requested level.  The boundary of a chain does not depend on where
-its search started, so an estimate depends on the seed alone.  Every
-model the oracle returns is cached for the whole count, so a cell's known
-members are counted, and blocked, without asking the oracle for them
-again.  An oracle that counts a cell in one step (the in-memory one)
-returns no models, so its cache stays empty.
+its search started, so an estimate depends on the seed alone.  A count
+keeps one `oracle.ModelCache` and hands it to every cell count, so an
+enumerating oracle counts and blocks a cell's known members without
+fetching them again; the in-memory oracle counts its live rows instead.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
-from .errors import ExhaustedIndices, InconsistentOracle, InvalidParameters, OracleTimeout
-from .hashing import (
-    Family,
-    HashConstraint,
-    generate_hash,
-    range_size,
-    satisfied,
-    value_columns,
-)
-from .oracle import Oracle, QueryStats
-from .smtlib import BlockingClause, ProjectionSet
+from .errors import ExhaustedIndices, InconsistentOracle, InvalidParameters
+from .hashing import Family, HashConstraint, generate_hash, range_size
+from .oracle import ModelCache, Oracle, QueryStats
+from .smtlib import ProjectionSet
 
 
 @dataclass(frozen=True)
@@ -86,69 +75,6 @@ def get_constants(epsilon: float, delta: float, family: Family) -> Constants:
     return Constants(thresh=thresh, itercount=itercount, ell=ell)
 
 
-class ModelCache:
-    """The distinct projected models one count has fetched.
-
-    A hash constraint reads only projection variables, so the cache decides
-    with the hash semantics alone which of its models lie in a cell: those
-    meeting each constraint of the cell it is handed, evaluated afresh on
-    every cached model at each count.  Models are kept as one column per
-    projection variable, as `hashing.value_columns` lays them out.
-    """
-
-    def __init__(self, projection: ProjectionSet):
-        self.projection = projection
-        self._widths = [v.width for v in projection.variables]
-        self._columns = value_columns(self._widths, [])
-        self._seen: set[tuple[int, ...]] = set()
-
-    def _in_cell(self, columns, cell: Sequence[HashConstraint]) -> np.ndarray:
-        """Whether each model in `columns` meets every constraint of `cell`,
-        in runs of one range exponent and slicing, as `satisfied` takes them:
-        a refinement candidate is drawn lower than the chain above it."""
-        named = dict(zip(self.projection.names, columns))
-        inside = np.ones(len(columns[0]), dtype=bool)
-        for _, run in itertools.groupby(cell, key=lambda c: (c.ell, c.slices)):
-            inside &= satisfied(list(run), named).all(axis=0)
-        return inside
-
-    def members(self, cell: Sequence[HashConstraint]) -> np.ndarray:
-        """Indices of the cached models in `cell`."""
-        if not self._seen:
-            return np.empty(0, dtype=np.intp)
-        return np.flatnonzero(self._in_cell(self._columns, cell))
-
-    def clause(self, at: np.ndarray) -> BlockingClause | None:
-        """One assertion blocking the models at `at`, or None for none."""
-        if not at.size:
-            return None
-        rows = zip(*(col[at].tolist() for col in self._columns))
-        return BlockingClause(self.projection, tuple(rows))
-
-    def add(self, models, cell: Sequence[HashConstraint]) -> None:
-        """Cache models the oracle found in `cell`, after checking that each
-        is new and lies in that cell."""
-        if not models:
-            return
-        names = self.projection.names
-        rows = [tuple(map(model.__getitem__, names)) for model in models]
-        columns = value_columns(self._widths, rows)
-        outside = ~self._in_cell(columns, cell)
-        if outside.any():
-            raise InconsistentOracle(
-                "the oracle returned a model outside the cell it was counting: "
-                f"{dict(zip(names, rows[int(np.argmax(outside))]))}"
-            )
-        for row in rows:
-            if row in self._seen:
-                raise InconsistentOracle(
-                    "the oracle returned a model it had already returned: "
-                    f"{dict(zip(names, row))}"
-                )
-            self._seen.add(row)
-        self._columns = [np.concatenate(pair) for pair in zip(self._columns, columns)]
-
-
 def saturating_count(
     oracle: Oracle,
     projection: ProjectionSet,
@@ -158,26 +84,15 @@ def saturating_count(
 ) -> SaturatingCount:
     """Count the current cell up to thresh: exact below it, saturated at it.
 
-    The oracle holds the constraints of `cell`.  The cell's cached members
-    count without asking the oracle; when they fall short of thresh, the
-    oracle blocks them with one assertion and enumerates the rest, and what
-    it returns is checked against the cell and cached.  An oracle that
-    counts a cell in one step (`InMemoryOracle`) returns no models, so
-    nothing is checked or cached.  Without a cache, a fresh one checks the
-    models against `cell` and against each other.
+    The oracle holds the constraints of `cell`, and `oracle.count_upto`
+    counts it with the cache's known members (see there).  Without a
+    cache, a fresh one checks the models against `cell` and each other.
     """
     if thresh < 1:
         raise InvalidParameters(f"threshold must be >= 1, got {thresh}")
-    if oracle.deadline is not None and time.monotonic() >= oracle.deadline:
-        raise OracleTimeout("time budget spent before counting a cell")
     if cache is None:
         cache = ModelCache(projection)
-    known = cache.members(cell)
-    if known.size >= thresh:
-        return SATURATED
-    fetched: list[dict[str, int]] = []
-    n = oracle.count_upto(projection, thresh, cache.clause(known), fetched)
-    cache.add(fetched, cell)
+    n = oracle.count_upto(projection, thresh, cache, cell)
     return SATURATED if n >= thresh else SaturatingCount.exact(n)
 
 

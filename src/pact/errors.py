@@ -47,9 +47,8 @@ class OracleTimeout(PactError):
     """A query exceeded its wall-clock budget; the counting run is aborted.
 
     `count` is set by `count_upto`: the models it had counted when the
-    budget ran out, a lower bound on the cell's count.  The in-memory
-    one-step count checks the budget before counting, so its `count` is
-    the number of known models it was given, or 0."""
+    budget ran out, a lower bound on the cell's count, and 0 when the
+    budget was spent before it began."""
 
     count: int | None = None
 

@@ -4,16 +4,19 @@ Both expose the same handle: push/pop an assertion stack, add hash
 constraints or blocking clauses, ask check-sat, extract values of the
 projection variables from a model, and count a cell up to a threshold.
 The subprocess backend renders constraints to SMT-LIB2 text and counts a
-cell by enumerate-and-block (`Oracle.count_upto`, the only such loop).
-The in-memory backend holds an explicit finite solution set, interprets
-constraints via the same `eval_hash` semantics the rendered text encodes,
-and counts a cell in one step: its live rows are the cell.
+cell by enumerate-and-block (`Oracle.count_upto`, the only such loop),
+which counts and blocks the cell's members in a `ModelCache` and caches
+the models it fetches.  The in-memory backend holds an explicit finite
+solution set, interprets constraints via the same `eval_hash` semantics
+the rendered text encodes, and counts a cell in one step: its live rows
+are the cell, so it never reads the cache.
 """
 
 from __future__ import annotations
 
 import contextlib
 import enum
+import itertools
 import operator
 import os
 import selectors
@@ -30,6 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    InconsistentOracle,
     MalformedScript,
     OracleTimeout,
     PactError,
@@ -39,7 +43,7 @@ from .errors import (
     StackUnderflow,
     UnknownVariable,
 )
-from .hashing import HashConstraint, column_dtype, satisfied
+from .hashing import HashConstraint, column_dtype, satisfied, value_columns
 from .smtlib import (
     BlockingClause,
     Form,
@@ -78,6 +82,69 @@ class QueryStats:
         )
 
 
+class ModelCache:
+    """The distinct projected models one count has fetched.
+
+    A hash constraint reads only projection variables, so the cache decides
+    with the hash semantics alone which of its models lie in a cell: those
+    meeting each constraint of the cell it is handed, evaluated afresh on
+    every cached model at each count.  Models are kept as one column per
+    projection variable, as `hashing.value_columns` lays them out.
+    """
+
+    def __init__(self, projection: ProjectionSet):
+        self.projection = projection
+        self._widths = [v.width for v in projection.variables]
+        self._columns = value_columns(self._widths, [])
+        self._seen: set[tuple[int, ...]] = set()
+
+    def _in_cell(self, columns, cell: Sequence[HashConstraint]) -> np.ndarray:
+        """Whether each model in `columns` meets every constraint of `cell`,
+        in runs of one range exponent and slicing, as `satisfied` takes them:
+        a refinement candidate is drawn lower than the chain above it."""
+        named = dict(zip(self.projection.names, columns))
+        inside = np.ones(len(columns[0]), dtype=bool)
+        for _, run in itertools.groupby(cell, key=lambda c: (c.ell, c.slices)):
+            inside &= satisfied(list(run), named).all(axis=0)
+        return inside
+
+    def members(self, cell: Sequence[HashConstraint]) -> np.ndarray:
+        """Indices of the cached models in `cell`."""
+        if not self._seen:
+            return np.empty(0, dtype=np.intp)
+        return np.flatnonzero(self._in_cell(self._columns, cell))
+
+    def clause(self, at: np.ndarray) -> BlockingClause | None:
+        """One assertion blocking the models at `at`, or None for none."""
+        if not at.size:
+            return None
+        rows = zip(*(col[at].tolist() for col in self._columns))
+        return BlockingClause(self.projection, tuple(rows))
+
+    def add(self, models, cell: Sequence[HashConstraint]) -> None:
+        """Cache models the oracle found in `cell`, after checking that each
+        is new and lies in that cell."""
+        if not models:
+            return
+        names = self.projection.names
+        rows = [tuple(map(model.__getitem__, names)) for model in models]
+        columns = value_columns(self._widths, rows)
+        outside = ~self._in_cell(columns, cell)
+        if outside.any():
+            raise InconsistentOracle(
+                "the oracle returned a model outside the cell it was counting: "
+                f"{dict(zip(names, rows[int(np.argmax(outside))]))}"
+            )
+        for row in rows:
+            if row in self._seen:
+                raise InconsistentOracle(
+                    "the oracle returned a model it had already returned: "
+                    f"{dict(zip(names, row))}"
+                )
+            self._seen.add(row)
+        self._columns = [np.concatenate(pair) for pair in zip(self._columns, columns)]
+
+
 class Oracle(ABC):
     """Incremental solving handle the counting loop talks to."""
 
@@ -112,28 +179,34 @@ class Oracle(ABC):
         self,
         projection: ProjectionSet,
         thresh: int | None = None,
-        known: BlockingClause | None = None,
-        fetched: list | None = None,
+        cache: ModelCache | None = None,
+        cell: Sequence[HashConstraint] = (),
     ) -> int:
         """Models of the current frame, up to thresh (None: no cap), by
         enumerate-and-block inside a scratch frame, so the blocking clauses
         go with it.
 
-        `known` names models already known to lie in the frame: they are
-        counted and blocked with that one assertion before enumerating the
-        rest.  Each model the solver returns is appended to `fetched`.  A
-        spent `deadline` is checked before every check-sat; an
+        A spent `deadline` raises `OracleTimeout` first, with `count` 0.
+        With a `cache`, its members in `cell` (the hash constraints the
+        frame holds) are known models: thresh of them return thresh with
+        nothing sent; fewer are counted and blocked with one assertion
+        before the rest are enumerated, and the models fetched are checked
+        against `cell` and cached.  Without one, no model is kept.  The
+        deadline is checked again before every check-sat; an
         `OracleTimeout` carries the models counted so far as its `count`.
-        A backend that can count a cell directly overrides this with the
-        same count (`InMemoryOracle`) wherever `len(known) < thresh`, the
-        only case `saturating_count` asks for.
         """
-        entry_depth, n = self.depth, 0
+        entry_depth, n, fetched = self.depth, 0, []
         try:
+            if self._deadline_spent():
+                raise OracleTimeout("time budget spent before counting a cell")
+            if cache is not None:
+                known = cache.members(cell)
+                if thresh is not None and known.size >= thresh:
+                    return thresh
+                n = known.size
             self.push()
-            if known is not None:
-                self.assert_constraint(known)
-                n = len(known)
+            if n:
+                self.assert_constraint(cache.clause(known))
             while thresh is None or n < thresh:
                 if self._deadline_spent():
                     raise OracleTimeout("time budget spent while counting a cell")
@@ -146,11 +219,13 @@ class Oracle(ABC):
                         "the estimate would be unsound"
                     )
                 model = self.get_projected_model(projection)
-                if fetched is not None:
+                if cache is not None:
                     fetched.append(model)
                 n += 1
                 if thresh is None or n < thresh:
                     self.assert_constraint(BlockingClause.from_model(projection, model))
+            if cache is not None:
+                cache.add(fetched, cell)
         except BaseException as exc:
             if isinstance(exc, OracleTimeout):
                 exc.count = n
@@ -299,27 +374,19 @@ class InMemoryOracle(Oracle):
         self,
         projection: ProjectionSet,
         thresh: int | None = None,
-        known: BlockingClause | None = None,
-        fetched: list | None = None,
+        cache: ModelCache | None = None,
+        cell: Sequence[HashConstraint] = (),
     ) -> int:
-        """Count the cell as `Oracle.count_upto` does when `len(known) < thresh`,
-        in one step: `len(known)` plus the live rows the `known` clause does
-        not block, or their distinct projected tuples when `projection`
-        names fewer variables than the oracle holds, capped at thresh.
-        (At `len(known) >= thresh` the loop returns `len(known)` uncapped
-        without checking the deadline; this returns thresh and does check
-        it.  `saturating_count` never asks for that case.)  No frame is
-        pushed, no model is fetched, and `fetched` stays empty.  A spent
-        `deadline` is checked first and raises `OracleTimeout` with `count`
-        set to `len(known)` (or 0), as the loop's first check would.  Each
-        call adds one to `stats.check_sat_calls`, and one to
-        `stats.assertions_sent` when `known` is given, however many models
-        the cell holds.
+        """Count the cell as `Oracle.count_upto` does, in one step: the live
+        rows, or their distinct projected tuples when `projection` names
+        fewer variables than the oracle holds, capped at thresh.  A spent
+        `deadline` raises `OracleTimeout` with `count` 0 first.  No frame is
+        pushed, no model is fetched and the cache is not read: the live
+        rows are the cell.  Each call adds one to `stats.check_sat_calls`.
         """
-        n = 0 if known is None else len(known)
         if self._deadline_spent():
-            exc = OracleTimeout("time budget spent while counting a cell")
-            exc.count = n
+            exc = OracleTimeout("time budget spent before counting a cell")
+            exc.count = 0
             raise exc
         t0 = time.perf_counter()
         try:
@@ -327,13 +394,10 @@ class InMemoryOracle(Oracle):
         except KeyError as e:
             raise UnknownVariable(f"count requested for {e.args[0]!r}, not projected") from None
         live = self._frames[-1]
-        if known is not None:
-            self.stats.assertions_sent += 1
-            live = self._after_block(known, live)
         if len(set(at)) < len(self._positions):
-            n += len(set(zip(*(self._columns[j][live].tolist() for j in at))))
+            n = len(set(zip(*(self._columns[j][live].tolist() for j in at))))
         else:
-            n += live.size
+            n = live.size
         self.stats.check_sat_calls += 1
         self.stats.solver_time += time.perf_counter() - t0
         return n if thresh is None else min(n, thresh)
@@ -383,7 +447,6 @@ _SKIP_HEADS = {
     "get-proof",
     "echo",
     "exit",
-    "reset",
 }
 
 DEFAULT_SOLVER = "cvc5 --incremental --produce-models"

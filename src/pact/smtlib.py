@@ -278,7 +278,9 @@ def _render_sexpr(sexpr) -> str:
 
 
 def parse_declarations(text: str) -> SmtScript:
-    """Parse a script's top level: declarations, logic, verbatim forms."""
+    """Parse a script's top level: declarations, logic, verbatim forms.
+    A `(reset)` raises MalformedScript: an oracle loads the script whole,
+    so what the script asserted before it would still hold."""
     declarations: list[SortedVar] = []
     seen: set[str] = set()
     logic: str | None = None
@@ -289,6 +291,8 @@ def parse_declarations(text: str) -> SmtScript:
             raise MalformedScript(f"unexpected atom {sexpr!r}", form.line)
         forms.append(form)
         head = form.head
+        if head == "reset":
+            raise MalformedScript("(reset) is not supported in an input script", form.line)
         if head == "set-logic" and logic is None and len(sexpr) == 2:
             logic = unquote_symbol(sexpr[1])
             continue

@@ -151,6 +151,26 @@ class TestProjectionPrecedence:
         assert record.status == "error"
         assert "projection" in record.detail
 
+    @pytest.mark.parametrize("mode", ["count", "baseline"])
+    @pytest.mark.parametrize("source", ["commas", "empty @file", "empty sidecar"])
+    def test_an_empty_projection_starts_no_solver(self, tmp_path, monkeypatch, source, mode):
+        # the script's comment names x: the first source present decides
+        spawned = []
+        monkeypatch.setattr(cli, "SubprocessOracle", lambda *args, **kw: spawned.append(args))
+        _, script = write_instance(tmp_path, self.spec(), sidecar=False)
+        project = None
+        if source == "commas":
+            project = ","
+        elif source == "empty @file":
+            (tmp_path / "vars.txt").write_text("# no names\n")
+            project = f"@{tmp_path / 'vars.txt'}"
+        else:
+            script.with_suffix(".proj").write_text("")
+        run = run_count if mode == "count" else run_baseline
+        record, code = run(RunConfig(mode, str(script), project=project, solver_cmd=MINISOLVE_CMD))
+        assert (record.status, code, spawned) == ("error", EXIT_ERROR, [])
+        assert "no projection given" in record.detail
+
     def test_unknown_name_is_an_error(self, tmp_path):
         inst, script = write_instance(tmp_path, self.spec())
         config = RunConfig("baseline", str(script), project="zebra")
@@ -466,6 +486,19 @@ class TestMain:
         assert record.count == 20
         saved = (tmp_path / "rec.jsonl").read_text().strip()
         assert ResultRecord.from_json(saved) == record
+
+    @pytest.mark.parametrize("mode", ["count", "baseline"])
+    def test_a_script_with_reset_is_an_error(self, tmp_path, capsys, mode):
+        # loaded whole, the script would keep `(assert false)` past the reset
+        script = tmp_path / "reset.smt2"
+        script.write_text(
+            "(declare-const x (_ BitVec 2))\n(assert false)\n(reset)\n"
+            "(declare-const y (_ BitVec 2))\n"
+        )
+        code = main([mode, str(script), "--project", "y", "--solver-cmd", MINISOLVE_CMD])
+        record = ResultRecord.from_json(capsys.readouterr().out)
+        assert (record.status, code, record.count) == ("error", EXIT_ERROR, None)
+        assert "line 3" in record.detail and "reset" in record.detail
 
     def test_baseline_uses_environment_solver(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PACT_SOLVER_CMD", MINISOLVE_CMD)

@@ -131,6 +131,16 @@ class TestModelCache:
         assert not saturating_count(oracle, p, 73, cache).is_exact
         assert oracle.stats.check_sat_calls == calls
 
+    def test_a_cell_of_known_members_sends_nothing(self):
+        p = proj(8)
+        oracle = EnumeratingOracle(p, range(200))
+        cache = ModelCache(p)
+        cache.add([{"x": v} for v in range(73)], ())
+        oracle.push()
+        assert oracle.count_upto(p, 73, cache) == 73
+        stats = oracle.stats
+        assert (stats.check_sat_calls, stats.assertions_sent, oracle.depth) == (0, 0, 1)
+
     def test_known_members_are_blocked_with_one_assertion(self):
         p = proj(8)
         oracle = EnumeratingOracle(p, range(100))
@@ -151,6 +161,7 @@ class TestModelCache:
         oracle.assert_constraint(c)
         with pytest.raises(InconsistentOracle, match="outside the cell"):
             saturating_count(oracle, p, 73, cache, [c])
+        assert oracle.depth == 1  # the count's frame is unwound
 
     def test_a_refinement_candidate_is_checked_too(self):
         # the boundary constraint meets every value, so the oracle's answers

@@ -30,7 +30,7 @@ from pact.hashing import (
     generate_hash,
     value_columns,
 )
-from pact.oracle import InMemoryOracle, Oracle, SolverResult, SubprocessOracle
+from pact.oracle import InMemoryOracle, ModelCache, Oracle, SolverResult, SubprocessOracle
 from pact.smtlib import BlockingClause, ProjectionSet, SortedVar, resolve_projection, parse_declarations
 
 import random
@@ -322,14 +322,25 @@ def test_vectorized_filter_matches_reference(data):
     assert oracle.live_values() == expected
 
 
-def counts_agree(oracle, projection, thresh, known=None):
+def counts_agree(oracle, projection, thresh, cache=None, cell=()):
     """The in-memory one-step count and the base class's enumerate-and-block
-    loop give the same count, and the one-step count fetches no model."""
-    fetched = []
-    one_step = oracle.count_upto(projection, thresh, known, fetched)
-    assert fetched == []
-    assert Oracle.count_upto(oracle, projection, thresh, known) == one_step
+    loop give the same count, the loop starting from the cache's members."""
+    one_step = oracle.count_upto(projection, thresh, cache, cell)
+    assert Oracle.count_upto(oracle, projection, thresh, cache, cell) == one_step
     return one_step
+
+
+class UnreadableCache(ModelCache):
+    """A model cache that fails the count that reads it."""
+
+    def members(self, cell):
+        raise AssertionError("the cache was read")
+
+
+def seeded_cache(projection, rows, cell):
+    cache = ModelCache(projection)
+    cache.add([dict(zip(projection.names, row)) for row in rows], cell)
+    return cache
 
 
 @pytest.mark.parametrize("widths", [(6, 5), (70, 4)], ids=["narrow", "wide"])
@@ -337,9 +348,10 @@ def counts_agree(oracle, projection, thresh, known=None):
 def test_count_upto_matches_brute_force(family, widths):
     """The one-step count and enumerate-and-block over live-index frames
     agree with each other and with brute force after random hash stacks
-    and a partial blocking clause: at every threshold, with a `known`
-    clause, over part of the projection (distinct projected tuples) and
-    with the deadline spent.  A 70-bit variable is filtered on Python ints
+    and a partial blocking clause: at every threshold, from a cache that
+    holds some or all of the cell, over part of the projection (distinct
+    projected tuples) and with the deadline spent.  The one-step count
+    never reads the cache.  A 70-bit variable is filtered on Python ints
     (object columns)."""
     x, y = bv("x", widths[0]), bv("y", widths[1])
     p = proj(x, y)
@@ -349,6 +361,7 @@ def test_count_upto_matches_brute_force(family, widths):
     for _ in range(12):
         ell = 1 if family is Family.XOR else rng.randint(1, 3)
         stack = [generate_hash(p, ell, family, rng) for _ in range(rng.randint(0, 4))]
+        hashes = list(stack)
         blocked_y = rng.randrange(1 << widths[1])
         stack.insert(rng.randint(0, len(stack)), BlockingClause(proj(y), ((blocked_y,),)))
         for constraint in stack:
@@ -357,29 +370,29 @@ def test_count_upto_matches_brute_force(family, widths):
         cell = [
             (xv, yv) for xv, yv in rows
             if yv != blocked_y and all(
-                eval_hash(c, {"x": xv, "y": yv}) == c.target
-                for c in stack if isinstance(c, HashConstraint)
+                eval_hash(c, {"x": xv, "y": yv}) == c.target for c in hashes
             )
         ]
         truth = len(cell)
         live = oracle.live_values()
         frames = list(oracle._frames)
-        known = tuple(rng.sample(live, min(len(live), rng.randint(1, 15))))
+        known = rng.sample(live, min(len(live), rng.randint(1, 15)))
         for thresh in (1, 20, 73, None):
-            assert counts_agree(oracle, p, thresh) == min(truth, thresh or truth)
-            if known and (thresh is None or len(known) < thresh):
-                clause = BlockingClause(p, known)
-                assert counts_agree(oracle, p, thresh, clause) == min(truth, thresh or truth)
+            expected = min(truth, thresh or truth)
+            assert counts_agree(oracle, p, thresh) == expected
+            assert counts_agree(oracle, p, thresh, seeded_cache(p, known, hashes), hashes) == expected
+            assert counts_agree(oracle, p, thresh, seeded_cache(p, live, hashes), hashes) == expected
+            assert oracle.count_upto(p, thresh, UnreadableCache(p), hashes) == expected
             for j, part in enumerate((x, y)):
                 distinct = len({row[j] for row in cell})
                 assert counts_agree(oracle, proj(part), thresh) == min(distinct, thresh or distinct)
         oracle.deadline = time.monotonic() - 1
-        for clause in (None, BlockingClause(p, known) if known else None):
+        for cache in (None, UnreadableCache(p)):
             with pytest.raises(OracleTimeout) as one_step:
-                oracle.count_upto(p, 73, clause)
+                oracle.count_upto(p, 73, cache, hashes)
             with pytest.raises(OracleTimeout) as loop:
-                Oracle.count_upto(oracle, p, 73, clause)
-            assert one_step.value.count == loop.value.count == (len(clause) if clause else 0)
+                Oracle.count_upto(oracle, p, 73, cache, hashes)
+            assert one_step.value.count == loop.value.count == 0
         oracle.deadline = None
         assert oracle.depth == len(stack)
         assert all(map(np.array_equal, oracle._frames, frames))
@@ -392,8 +405,8 @@ def test_one_step_count_costs_one_check_sat():
     oracle = InMemoryOracle(X3, range(8))
     assert oracle.count_upto(X3, 5) == 5
     assert (oracle.stats.check_sat_calls, oracle.stats.assertions_sent) == (1, 0)
-    assert oracle.count_upto(X3, None, BlockingClause(X3, ((1,), (2,)))) == 8
-    assert (oracle.stats.check_sat_calls, oracle.stats.assertions_sent) == (2, 1)
+    assert oracle.count_upto(X3, None, seeded_cache(X3, [(1,), (2,)], ())) == 8
+    assert (oracle.stats.check_sat_calls, oracle.stats.assertions_sent) == (2, 0)
     with pytest.raises(UnknownVariable):
         oracle.count_upto(proj(bv("z", 3)))
 
