@@ -9,7 +9,8 @@ which counts and blocks the cell's members in a `ModelCache` and caches
 the models it fetches.  The in-memory backend holds an explicit finite
 solution set, interprets constraints via the same `eval_hash` semantics
 the rendered text encodes, and counts a cell in one step: its live rows
-are the cell, so it never reads the cache.
+are the cell, so it never reads the cache.  Each of its frames holds the
+live rows' values: a filter reads only the rows the frame below kept.
 """
 
 from __future__ import annotations
@@ -269,8 +270,8 @@ class Oracle(ABC):
 class InMemoryOracle(Oracle):
     """Oracle over an explicit finite set of projected assignments.
 
-    The set is held once, as one column per variable: its values in sorted
-    row order, at the narrowest unsigned dtype of its width
+    The set is held once, as one read-only column per variable: its values
+    in sorted row order, at the narrowest unsigned dtype of its width
     (`hashing.value_columns`); nothing is kept per row.  The constructor
     reads each solution once, into its values as Python ints (a scalar is
     one value), and checks its arity; a value that is not an integer, such
@@ -279,13 +280,16 @@ class InMemoryOracle(Oracle):
     column is range-checked by its minimum and maximum and cast to its
     dtype, the rows are put in tuple order by stable argsorts from the
     last column to the first, and each row equal to the one before it is
-    dropped.  Each frame is a sorted array of live row indices, so the
-    first model is always the smallest live row and every result is
-    deterministic.  A push shares the top array; a constraint replaces it
-    with its survivors, and `count_upto` counts them without enumerating.  Hashes are filtered by
-    `hashing.satisfied` at every width (in object dtype past 64 bits).  A
-    blocking clause drops each live row equal to one of its rows on the
-    clause's variables, whatever their order and however many it names.
+    dropped.  Those columns are frame 0.  Each frame holds the live rows'
+    values, one column per variable in sorted row order, so the first model
+    is always the smallest live row and every result is deterministic.  A
+    push shares the top frame; a constraint replaces it with its survivors'
+    values, one `np.compress` per column, so a filter reads only the rows
+    that survived the frame below, and `count_upto` counts them without
+    enumerating.  Hashes are filtered by `hashing.satisfied` at every width
+    (in object dtype past 64 bits).  A blocking clause drops each live row
+    equal to one of its rows on the clause's variables, whatever their
+    order and however many it names.
     """
 
     def __init__(
@@ -295,6 +299,8 @@ class InMemoryOracle(Oracle):
     ):
         super().__init__()
         k = len(projection)
+        if not k:
+            raise ValueError("an in-memory oracle needs at least one projection variable")
         values: list[int] = []  # row-major, k per solution
         n = 0
         for n, sol in enumerate(solutions, 1):
@@ -325,18 +331,17 @@ class InMemoryOracle(Oracle):
         fresh[:1] = True
         for col in columns:
             fresh[1:] |= col[1:] != col[:-1]
-        self._names = projection.names
-        self._positions = {name: j for j, name in enumerate(self._names)}
-        self._columns = [col[fresh] for col in columns]
-        self._size = int(np.count_nonzero(fresh))
-        self._frames: list[np.ndarray] = [np.arange(self._size, dtype=np.intp)]
+        columns = [col[fresh] for col in columns]
+        for col in columns:
+            col.flags.writeable = False  # frame 0, which every frame may share
+        self._frames: list[dict[str, np.ndarray]] = [dict(zip(projection.names, columns))]
 
     @property
     def depth(self) -> int:
         return len(self._frames) - 1
 
     def push(self) -> None:
-        self._frames.append(self._frames[-1])  # arrays are never changed in place
+        self._frames.append(self._frames[-1])  # columns are never changed in place
 
     def pop(self) -> None:
         if len(self._frames) == 1:
@@ -345,18 +350,17 @@ class InMemoryOracle(Oracle):
 
     def check_sat(self) -> SolverResult:
         t0 = time.perf_counter()
-        live = self._frames[-1].size
+        live = self._live_rows()
         self.stats.check_sat_calls += 1
         self.stats.solver_time += time.perf_counter() - t0
         return SolverResult.SAT if live else SolverResult.UNSAT
 
     def get_projected_model(self, projection: ProjectionSet) -> dict[str, int]:
-        live = self._frames[-1]
-        if not live.size:
+        if not self._live_rows():
             raise ProtocolError("model requested from an unsatisfiable state")
-        i = live[0]
+        live = self._frames[-1]
         try:
-            return {name: int(self._columns[self._positions[name]][i]) for name in projection.names}
+            return {name: int(live[name][0]) for name in projection.names}
         except KeyError as e:
             raise UnknownVariable(f"model requested for {e.args[0]!r}, not projected") from None
 
@@ -364,11 +368,14 @@ class InMemoryOracle(Oracle):
         self.stats.assertions_sent += 1
         live = self._frames[-1]
         if isinstance(constraint, BlockingClause):
-            self._frames[-1] = self._after_block(constraint, live)
+            keep = ~self._blocked(constraint)
         elif isinstance(constraint, HashConstraint):
-            self._frames[-1] = self._after_hash(constraint, live)
+            keep = satisfied([constraint], live)[0]
         else:
             raise TypeError(f"cannot interpret {type(constraint).__name__} in memory")
+        # compress, not col[keep]: on 250k uint32 values with a 50% mask boolean
+        # indexing read 1.6-2.3 ms against 0.34-0.5 ms (2 cores, numpy 2.4)
+        self._frames[-1] = {name: np.compress(keep, col) for name, col in live.items()}
 
     def count_upto(
         self,
@@ -389,46 +396,39 @@ class InMemoryOracle(Oracle):
             exc.count = 0
             raise exc
         t0 = time.perf_counter()
+        live = self._frames[-1]
         try:
-            at = [self._positions[name] for name in projection.names]
+            columns = {name: live[name] for name in projection.names}
         except KeyError as e:
             raise UnknownVariable(f"count requested for {e.args[0]!r}, not projected") from None
-        live = self._frames[-1]
-        if len(set(at)) < len(self._positions):
-            n = len(set(zip(*(self._columns[j][live].tolist() for j in at))))
+        if len(columns) < len(live):
+            n = len(set(zip(*(col.tolist() for col in columns.values()))))
         else:
-            n = live.size
+            n = self._live_rows()
         self.stats.check_sat_calls += 1
         self.stats.solver_time += time.perf_counter() - t0
         return n if thresh is None else min(n, thresh)
 
     def live_values(self) -> list[tuple[int, ...]]:
         """Surviving assignments on the current frame (introspection)."""
-        live = self._frames[-1]
-        return list(zip(*(col[live].tolist() for col in self._columns)))
+        return list(zip(*(col.tolist() for col in self._frames[-1].values())))
 
-    # -- filtering internals: each takes the live indices and returns survivors
+    def _live_rows(self) -> int:
+        return len(next(iter(self._frames[-1].values())))
 
-    def _after_block(self, clause: BlockingClause, live: np.ndarray) -> np.ndarray:
-        columns = []
-        for name in clause.projection.names:
-            if name not in self._positions:
-                raise UnknownVariable(f"blocking clause names {name!r}, not projected")
-            columns.append(self._columns[self._positions[name]][live])
-        dead = np.zeros(live.size, dtype=bool)
+    def _blocked(self, clause: BlockingClause) -> np.ndarray:
+        """Whether each live row equals one of the clause's rows."""
+        try:
+            columns = [self._frames[-1][name] for name in clause.projection.names]
+        except KeyError as e:
+            raise UnknownVariable(f"blocking clause names {e.args[0]!r}, not projected") from None
+        dead = np.zeros(self._live_rows(), dtype=bool)
         for row in clause.rows:
-            match = np.ones(live.size, dtype=bool)
+            match = np.ones(dead.size, dtype=bool)
             for col, v in zip(columns, row):
                 match &= col == v
             dead |= match
-        return live[~dead]
-
-    def _after_hash(self, constraint: HashConstraint, live: np.ndarray) -> np.ndarray:
-        columns = dict(zip(self._names, self._columns))
-        if live.size < self._size:  # else live is every row, in order
-            columns = {name: col[live] for name, col in columns.items()}
-        # compress, not live[mask]: boolean indexing is about 4x slower here
-        return np.compress(satisfied([constraint], columns)[0], live)
+        return dead
 
 
 # ---------------------------------------------------------------------------

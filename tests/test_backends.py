@@ -8,7 +8,8 @@ set alone: not on the backend, nor on the order in which models arrive.
 A fault that moves one cell count by one (in rendering, reply parsing,
 the order of owed acks, blocking clauses or the model cache) shows up
 here.  Check-sats are left out: the in-memory oracle counts a cell in one
-step, the solver model by model.
+step, the solver model by model.  Next to the one-variable smoke corpus, a
+two-variable product instance filters frames of more than one column.
 """
 
 import sys
@@ -16,7 +17,7 @@ import time
 
 import pytest
 
-from pact.corpus import build, smoke_preset
+from pact.corpus import InstanceSpec, build, smoke_preset
 from pact.counter import pact_count
 from pact.hashing import Family
 from pact.oracle import InMemoryOracle, SubprocessOracle
@@ -24,13 +25,14 @@ from pact.smtlib import parse_declarations, resolve_projection
 
 MINISOLVE = [sys.executable, "-m", "pact.minisolve"]
 SEEDS = (1, 2, 3)
+SPECS = [*smoke_preset(seed=0), InstanceSpec("backends-product-300", "product", 7, 300, 5)]
 
 
 def outcome(result):
     return result.raw_estimates, result.probe_counts, result.exhausted_refinements
 
 
-@pytest.mark.parametrize("spec", smoke_preset(seed=0), ids=lambda spec: spec.name)
+@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.name)
 def test_solver_and_memory_counts_agree(spec):
     inst = build(spec)
     projection = resolve_projection(parse_declarations(inst.script), list(inst.projection))

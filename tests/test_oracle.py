@@ -224,6 +224,10 @@ class TestInMemoryStack:
             with pytest.raises(ValueError):
                 InMemoryOracle(projection, [solution])
 
+    def test_empty_projection_rejected(self):
+        with pytest.raises(ValueError, match="at least one projection variable"):
+            InMemoryOracle(proj(), [(), ()])
+
     @pytest.mark.parametrize("width", [1, 3, 8, 32, 63, 64, 70])
     def test_top_value_of_a_width_accepted(self, width):
         top = 2**width - 1
@@ -286,10 +290,12 @@ def test_columns_match_the_sorted_deduplicated_reference(data):
     oracle = InMemoryOracle(p, (s for s in solutions) if one_shot else solutions)
 
     want = value_columns(widths, sorted(set(rows)))
-    assert len(oracle._columns) == len(want)
-    for got, ref in zip(oracle._columns, want):
+    base = oracle._frames[0]
+    assert list(base) == list(p.names)
+    for got, ref in zip(base.values(), want):
         assert got.dtype == ref.dtype
         assert got.flags.c_contiguous
+        assert not got.flags.writeable
         assert got.tolist() == ref.tolist()
     live = oracle.live_values()
     assert live == sorted(set(rows))
@@ -322,6 +328,11 @@ def test_vectorized_filter_matches_reference(data):
     assert oracle.live_values() == expected
 
 
+def same_frame(frame, other):
+    """Two frames hold the same variables and equal values."""
+    return frame.keys() == other.keys() and all(np.array_equal(frame[n], other[n]) for n in frame)
+
+
 def counts_agree(oracle, projection, thresh, cache=None, cell=()):
     """The in-memory one-step count and the base class's enumerate-and-block
     loop give the same count, the loop starting from the cache's members."""
@@ -346,7 +357,7 @@ def seeded_cache(projection, rows, cell):
 @pytest.mark.parametrize("widths", [(6, 5), (70, 4)], ids=["narrow", "wide"])
 @pytest.mark.parametrize("family", list(Family), ids=str)
 def test_count_upto_matches_brute_force(family, widths):
-    """The one-step count and enumerate-and-block over live-index frames
+    """The one-step count and enumerate-and-block over frames of live values
     agree with each other and with brute force after random hash stacks
     and a partial blocking clause: at every threshold, from a cache that
     holds some or all of the cell, over part of the projection (distinct
@@ -395,10 +406,54 @@ def test_count_upto_matches_brute_force(family, widths):
             assert one_step.value.count == loop.value.count == 0
         oracle.deadline = None
         assert oracle.depth == len(stack)
-        assert all(map(np.array_equal, oracle._frames, frames))
+        assert all(map(same_frame, oracle._frames, frames))
         assert oracle.live_values() == live  # the loop's blocking clauses were scoped
         while oracle.depth:
             oracle.pop()
+
+
+@pytest.mark.parametrize("widths", [(6, 5), (70, 4)], ids=["narrow", "wide"])
+@pytest.mark.parametrize("family", list(Family), ids=str)
+def test_deeper_work_never_changes_a_frame_below(family, widths):
+    """Frames share columns: frame 0 is the oracle's own solution set and a
+    push shares the top frame, so one write in place would corrupt every
+    frame holding that column.  Random push / hash / blocking-clause /
+    count_upto / pop sequences leave each frame as it was before going
+    deeper, and a write into a base column raises."""
+    x, y = bv("x", widths[0]), bv("y", widths[1])
+    p = proj(x, y)
+    rng = random.Random(f"frames/{family}/{widths}")
+    rows = sorted({(rng.getrandbits(widths[0]), rng.getrandbits(widths[1])) for _ in range(300)})
+    oracle = InMemoryOracle(p, rows)
+    for col in oracle._frames[0].values():
+        with pytest.raises(ValueError):
+            col[:1] = 0
+    below = []  # a copy of each frame under the top, taken as it was pushed
+    for _ in range(150):
+        op = rng.choice(("push", "push", "hash", "block", "count", "pop"))
+        if op == "push":
+            below.append({name: col.copy() for name, col in oracle._frames[-1].items()})
+            oracle.push()
+        elif op == "hash":
+            ell = 1 if family is Family.XOR else rng.randint(1, 3)
+            oracle.assert_constraint(generate_hash(p, ell, family, rng))
+        elif op == "block" and oracle.check_sat() is SolverResult.SAT:
+            live = oracle.live_values()
+            picked = tuple(rng.sample(live, min(len(live), rng.randint(1, 3))))
+            part = rng.choice((p, proj(y)))
+            blocked = picked if part is p else ((picked[0][1],),)
+            oracle.assert_constraint(BlockingClause(part, blocked))
+        elif op == "count":
+            live, thresh = oracle.live_values(), rng.choice((1, 7, None))
+            assert counts_agree(oracle, p, thresh) == min(len(live), thresh or len(live))
+            assert counts_agree(oracle, proj(x), None) == len({row[0] for row in live})
+        elif op == "pop" and oracle.depth:
+            oracle.pop()
+            assert same_frame(oracle._frames[-1], below.pop())
+        assert all(map(same_frame, oracle._frames[:-1], below))
+    while oracle.depth:
+        oracle.pop()
+        assert same_frame(oracle._frames[-1], below.pop())
 
 
 def test_one_step_count_costs_one_check_sat():
