@@ -27,10 +27,6 @@ class InvalidParameters(PactError):
     """Counting parameters out of range (epsilon <= 0, delta outside (0,1), ...)."""
 
 
-class RangeExceeded(PactError):
-    """Prime search asked for a bound beyond the exact-primality range."""
-
-
 class SolverCrashed(PactError):
     """The solver process exited or the pipe broke."""
 

@@ -17,13 +17,13 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import RangeExceeded
 from .smtlib import ProjectionSet
 
 
@@ -153,52 +153,13 @@ def slice_projection(projection: ProjectionSet, ell: int) -> tuple[Slice, ...]:
     return tuple(out)
 
 
-# Deterministic Miller-Rabin witnesses, exact for all n < 2^64.
-_MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
-_PRIME_LIMIT = 1 << 64
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % small == 0:
-            return n == small
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
-        a %= n
-        if a == 0:
-            continue
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def smallest_prime_above(n: int) -> int:
-    """Smallest prime strictly greater than n; exact up to 2^64."""
-    candidate = n + 1
-    if candidate <= 2:
-        return 2
-    if candidate % 2 == 0:
+    """Smallest prime strictly greater than n, by trial division: PRIME
+    draws need only the prime above 2^ell, and ell is at most 4."""
+    candidate = max(n + 1, 2)
+    while any(candidate % d == 0 for d in range(2, math.isqrt(candidate) + 1)):
         candidate += 1
-    while True:
-        if candidate >= _PRIME_LIMIT:
-            raise RangeExceeded(
-                f"prime search above {n} leaves the exact range (< 2^64)"
-            )
-        if _is_prime(candidate):
-            return candidate
-        candidate += 2
+    return candidate
 
 
 def _widened_width_shift(slices: tuple[Slice, ...], ell: int) -> int:

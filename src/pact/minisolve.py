@@ -1,18 +1,27 @@
 """A bounded brute-force SMT-LIB2 solver for tests and demos.
 
 Enumerates bitvector/boolean state spaces as an explicit numpy grid (up to
-2^22 points) and checks floating-point/real side conditions that do not
-share variables with the grid by sampling candidate witnesses.  Speaks
-enough of the interactive SMT-LIB2 protocol to act as an incremental
-oracle: print-success acknowledgements, push/pop, check-sat, get-value.
-Anything outside its fragment gets an honest `unknown`, never a guess.
+2^22 points).  A side condition is an assert over floating-point and Real
+variables only.  Each variable the side conditions mention takes each of
+eight candidates (0, 1, -1, 0.5, 2, -2, +oo and -oo for a float; 0, 1, -1,
+1/2, 2, -2, 100 and -100 for a Real), and an assignment of candidates that
+satisfies them all is a witness.  Speaks enough of the interactive SMT-LIB2
+protocol to act as an incremental oracle: print-success acknowledgements,
+push/pop, check-sat, get-value.  Anything outside its fragment gets an
+honest `unknown`, never a guess.  So do side conditions that mention more
+than four variables or have no witness, a Real division with a zero
+divisor among the candidates, and an assert that mixes grid and
+floating-point or Real variables.
 
-Every term evaluates to a numpy array over the grid (one element when it
-names no grid variable).  A width-w bitvector is stored as uint64 when w
-<= 64 and as Python ints (object dtype) above, always reduced mod 2^w:
-`_dtype` is the one place that chooses, and `_bv` reduces every
-operator's result that can leave the range; `_widen` only re-types a value
-an extension or a concatenation widens.  A boolean is a bool array.
+Every term evaluates to a numpy array over the grid or over the candidate
+assignments (one element when it names no variable); `let` binds any
+value.  A width-w bitvector is stored as uint64 when w <= 64 and as Python
+ints (object dtype) above, always reduced mod 2^w: `_dtype` is the one
+place that chooses, and `_bv` reduces every operator's result that can
+leave the range; `_widen` only re-types a value an extension or a
+concatenation widens.  A boolean is a bool array.  A float is float64,
+with IEEE inf and NaN whatever its declared precision and rounding mode,
+and a Real is an object array of Fractions.
 
 Run as `pact-minisolve`; see --help for the test-only hang knob.
 """
@@ -59,23 +68,22 @@ class BoolVal:
 
 
 @dataclass
+class NumVal:
+    arr: np.ndarray  # float64 for a FloatingPoint value, Fractions (object) for a Real
+
+
+@dataclass
 class Frame:
     mask: np.ndarray
-    theory: list = field(default_factory=list)
+    theory: list = field(default_factory=list)  # (term, the theory names it mentions)
     tainted: bool = False
 
 
-_RM_TOKENS = {
-    "RNE", "RNA", "RTP", "RTN", "RTZ",
-    "roundNearestTiesToEven", "roundNearestTiesToAway",
-    "roundTowardPositive", "roundTowardNegative", "roundTowardZero",
+_CANDIDATES = {  # the values sampled for a theory variable, by sort
+    "fp": np.array([0.0, 1.0, -1.0, 0.5, 2.0, -2.0, np.inf, -np.inf]),
+    "real": np.array([Fraction(x) for x in (0, 1, -1, "1/2", 2, -2, 100, -100)], dtype=object),
 }
-_ROUNDING = object()
-
-_FP_CANDIDATES = (0.0, 1.0, -1.0, 0.5, 2.0, -2.0, float("inf"), float("-inf"))
-_REAL_CANDIDATES = tuple(
-    Fraction(x) for x in (0, 1, -1, "1/2", 2, -2, 100, -100)
-)
+_FP_SPECIALS = {"+zero": 0.0, "-zero": -0.0, "+oo": np.inf, "-oo": -np.inf, "NaN": np.nan}
 _MAX_THEORY_VARS = 4
 _MAX_GRID_BITS = 22
 _SORT_KINDS = {"Bool": ("bool", 1), "Real": ("real", 0)}  # and (_ BitVec w), (_ FloatingPoint e s)
@@ -87,6 +95,16 @@ _BV_FOLDS = {
     "bvand": operator.and_, "bvor": operator.or_, "bvxor": operator.xor,
 }
 _BV_COMPARISONS = {"lt": operator.lt, "le": operator.le, "gt": operator.gt, "ge": operator.ge}
+_NUM_ORDER = {
+    "<": operator.lt, ">": operator.gt, "<=": operator.le, ">=": operator.ge,
+    "fp.lt": operator.lt, "fp.gt": operator.gt, "fp.leq": operator.le,
+    "fp.geq": operator.ge, "fp.eq": operator.eq,
+}
+_NUM_FOLDS = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+    "fp.add": operator.add, "fp.sub": operator.sub, "fp.mul": operator.mul,
+    "fp.div": operator.truediv,
+}
 
 
 def _dtype(width: int):
@@ -112,6 +130,14 @@ def _widen(x: BVVal, width: int) -> BVVal:
 def _bv_literal(value: int, width: int) -> BVVal:
     """A `bv_literal` (value, width), already reduced."""
     return BVVal(width, np.array([value], dtype=_dtype(width)))
+
+
+def _fp_special(indexed) -> NumVal:
+    """(_ +zero e s) and the other special floating-point values."""
+    name = indexed[1] if len(indexed) >= 2 else None
+    if not (isinstance(name, str) and name in _FP_SPECIALS):
+        raise Unsupported(f"indexed term {indexed!r}")
+    return NumVal(np.array([_FP_SPECIALS[name]]))
 
 
 def _decode_fp_literal(sign: str, exp: str, sig: str) -> float:
@@ -221,7 +247,7 @@ class Engine:
             frame.tainted = True
             return
         if theory_names:
-            frame.theory.append(term)
+            frame.theory.append((term, theory_names))
             return
         if any(self.grid[n].col is None for n in grid_names):
             frame.tainted = True
@@ -236,7 +262,7 @@ class Engine:
             return
         frame.mask = frame.mask & val.arr
 
-    # -- bitvector/boolean evaluation over the grid
+    # -- evaluation: bitvectors and booleans over the grid, numbers over the candidates
 
     def _eval(self, e, env):
         if isinstance(e, str):
@@ -248,9 +274,9 @@ class Engine:
             return self._eval_indexed(head, e[1:], env)
         if head == "_":
             literal = bv_literal(e)
-            if literal is None:
-                raise Unsupported(f"indexed term {e!r}")
-            return _bv_literal(*literal)
+            if literal is not None:
+                return _bv_literal(*literal)
+            return _fp_special(e)
         if head == "let" and len(e) == 3:
             inner = dict(env)
             for binding in e[1]:
@@ -279,51 +305,51 @@ class Engine:
             if var.kind == "bool":
                 return BoolVal(var.col)
             return BVVal(var.width, var.col)
-        raise Unsupported(f"unknown atom {token}")
+        try:  # a decimal or a numeral: a Real, as `0.5` and `-1` are
+            return NumVal(np.array([Fraction(token)], dtype=object))
+        except ValueError:
+            raise Unsupported(f"unknown atom {token}") from None
 
     def _eval_indexed(self, head, args, env):
         if not (head and head[0] == "_"):
             raise Unsupported("unknown applied form")
+        if not args:  # ((_ +zero 8 24)) written as an application
+            return _fp_special(head)
         if head[1] == "extract" and len(head) == 4 and len(args) == 1:
             hi, lo = int(head[2]), int(head[3])
-            x = self._expect_bv(args[0], env)
+            x = self._expect(BVVal, args[0], env)
             if not 0 <= lo <= hi < x.width:
                 raise Unsupported("extract out of range")
             return _bv(x.arr >> lo, hi - lo + 1)
         if head[1] == "zero_extend" and len(head) == 3 and len(args) == 1:
-            x = self._expect_bv(args[0], env)
+            x = self._expect(BVVal, args[0], env)
             return _widen(x, x.width + int(head[2]))
         if head[1] == "sign_extend" and len(head) == 3 and len(args) == 1:
-            x = self._expect_bv(args[0], env)
+            x = self._expect(BVVal, args[0], env)
             wide = _widen(x, x.width + int(head[2]))
             high = (1 << wide.width) - (1 << x.width)
             negative = (wide.arr >> (x.width - 1)) == 1
             return _bv(np.where(negative, wide.arr | high, wide.arr), wide.width)
         raise Unsupported(f"indexed operator {head!r}")
 
-    def _expect_bv(self, e, env) -> BVVal:
+    def _expect(self, kind, e, env):
+        """`e`'s value, which must be a `kind` (BVVal, BoolVal or NumVal)."""
         v = self._eval(e, env)
-        if not isinstance(v, BVVal):
-            raise Unsupported("expected a bitvector term")
-        return v
-
-    def _expect_bool(self, e, env) -> BoolVal:
-        v = self._eval(e, env)
-        if not isinstance(v, BoolVal):
-            raise Unsupported("expected a boolean term")
+        if not isinstance(v, kind):
+            raise Unsupported(f"expected a {kind.__name__} term")
         return v
 
     def _eval_app(self, head: str, args, env):
         if head == "not" and len(args) == 1:
-            return BoolVal(~self._expect_bool(args[0], env).arr)
+            return BoolVal(~self._expect(BoolVal, args[0], env).arr)
         if head in ("and", "or", "xor") and args:
-            acc = self._expect_bool(args[0], env).arr
+            acc = self._expect(BoolVal, args[0], env).arr
             for a in args[1:]:
-                v = self._expect_bool(a, env).arr
+                v = self._expect(BoolVal, a, env).arr
                 acc = acc & v if head == "and" else acc | v if head == "or" else acc ^ v
             return BoolVal(acc)
         if head == "=>" and len(args) >= 2:
-            vals = [self._expect_bool(a, env).arr for a in args]
+            vals = [self._expect(BoolVal, a, env).arr for a in args]
             acc = vals[-1]
             for v in reversed(vals[:-1]):
                 acc = ~v | acc
@@ -332,7 +358,7 @@ class Engine:
             vals = [self._eval(a, env) for a in args]
             return self._equality(head, vals)
         if head == "ite" and len(args) == 3:
-            c = self._expect_bool(args[0], env).arr
+            c = self._expect(BoolVal, args[0], env).arr
             t, f = self._eval(args[1], env), self._eval(args[2], env)
             if isinstance(t, BoolVal) and isinstance(f, BoolVal):
                 return BoolVal(np.where(c, t.arr, f.arr))
@@ -342,18 +368,22 @@ class Engine:
         if head.startswith("bv"):
             return self._eval_bvop(head, args, env)
         if head == "concat" and len(args) >= 2:
-            acc = self._expect_bv(args[0], env)
+            acc = self._expect(BVVal, args[0], env)
             for a in args[1:]:
-                nxt = self._expect_bv(a, env)
+                nxt = self._expect(BVVal, a, env)
                 width = acc.width + nxt.width
                 acc = BVVal(width, _widen(acc, width).arr << nxt.width | _widen(nxt, width).arr)
             return acc
-        raise Unsupported(f"operator {head}")
+        return self._eval_num(head, args, env)
 
     def _equality(self, head: str, vals):
         def eq(a, b):
             if type(a) is not type(b) or isinstance(a, BVVal) and a.width != b.width:
                 raise Unsupported("ill-sorted equality")
+            if isinstance(a, NumVal) and a.arr.dtype == b.arr.dtype == float:
+                # `=` on floats is identity, not fp.eq: NaN = NaN, +zero != -zero
+                same = (a.arr == b.arr) & (np.signbit(a.arr) == np.signbit(b.arr))
+                return same | np.isnan(a.arr) & np.isnan(b.arr)
             return a.arr == b.arr
 
         if head == "=":
@@ -369,7 +399,7 @@ class Engine:
         return BoolVal(acc)
 
     def _eval_bvop(self, head: str, args, env):
-        vals = [self._expect_bv(a, env) for a in args]
+        vals = [self._expect(BVVal, a, env) for a in args]
         if head == "bvnot" and len(vals) == 1:
             return _bv(~vals[0].arr, vals[0].width)
         if head == "bvneg" and len(vals) == 1:
@@ -403,128 +433,54 @@ class Engine:
             return BoolVal(_BV_COMPARISONS[head[-2:]](ax, ay))
         raise Unsupported(f"bitvector operator {head}")
 
+    def _eval_num(self, head: str, args, env):
+        if head == "fp" and len(args) == 3 and all(isinstance(a, str) for a in args):
+            return NumVal(np.array([_decode_fp_literal(*args)]))
+        if head in _NUM_ORDER and len(args) >= 2:
+            vals = [self._expect(NumVal, a, env).arr for a in args]
+            steps = (_NUM_ORDER[head](a, b) for a, b in zip(vals, vals[1:]))
+            return BoolVal(functools.reduce(operator.and_, steps))
+        if head in ("-", "fp.neg", "fp.abs") and len(args) == 1:
+            x = self._expect(NumVal, args[0], env).arr
+            return NumVal(abs(x) if head == "fp.abs" else -x)
+        if head in _NUM_FOLDS:
+            if head.startswith("fp."):
+                if len(args) != 3:
+                    raise Unsupported(f"{head} arity")
+                args = args[1:]  # float64 rounds to nearest whatever the mode
+            elif len(args) < 2:
+                raise Unsupported(f"{head} arity")
+            vals = [self._expect(NumVal, a, env).arr for a in args]
+            if head.startswith("fp."):  # IEEE arithmetic in float64, whatever the sorts
+                vals = [v.astype(float, copy=False) for v in vals]
+            if head == "/" and any((v == 0).any() for v in vals[1:]):
+                raise Unsupported("real division by zero")
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # inf and NaN
+                return NumVal(functools.reduce(_NUM_FOLDS[head], vals))
+        raise Unsupported(f"operator {head}")
+
     # -- theory side conditions (sampled witnesses)
 
-    def _theory_value(self, e, env):
-        if isinstance(e, str):
-            name = unquote_symbol(e)
-            if name in env:
-                return env[name]
-            if e == "true":
-                return True
-            if e == "false":
-                return False
-            if e in _RM_TOKENS:
-                return _ROUNDING
-            try:
-                return Fraction(e)
-            except ValueError:
-                raise Unsupported(f"theory atom {e}")
-        if not e or not isinstance(e[0], (str, list)):
-            raise Unsupported("theory application")
-        head = e[0]
-        specials = {
-            "+zero": 0.0, "-zero": -0.0,
-            "+oo": float("inf"), "-oo": float("-inf"),
-            "NaN": float("nan"),
-        }
-        if isinstance(head, list):
-            # ((_ +zero 8 24)) written as an application
-            if len(head) >= 2 and head[0] == "_" and head[1] in specials:
-                return specials[head[1]]
-            raise Unsupported("indexed theory term")
-        if head == "_" and len(e) >= 2 and isinstance(e[1], str):
-            # bare (_ +zero 8 24) and friends
-            if e[1] in specials:
-                return specials[e[1]]
-            raise Unsupported("indexed theory term")
-        args = e[1:]
-        if head == "fp" and len(args) == 3 and all(isinstance(a, str) for a in args):
-            return _decode_fp_literal(*args)
-        if head in ("not",) and len(args) == 1:
-            v = self._theory_value(args[0], env)
-            if not isinstance(v, bool):
-                raise Unsupported("not on non-boolean")
-            return not v
-        if head in ("and", "or"):
-            vals = [self._theory_value(a, env) for a in args]
-            if not all(isinstance(v, bool) for v in vals):
-                raise Unsupported("junction on non-boolean")
-            return all(vals) if head == "and" else any(vals)
-        if head == "=>" and len(args) >= 2:
-            vals = [self._theory_value(a, env) for a in args]
-            acc = vals[-1]
-            for v in reversed(vals[:-1]):
-                acc = (not v) or acc
-            return acc
-        if head in ("fp.add", "fp.sub", "fp.mul", "fp.div") and len(args) == 3:
-            lhs = self._theory_value(args[1], env)
-            rhs = self._theory_value(args[2], env)
-            return {
-                "fp.add": lhs + rhs, "fp.sub": lhs - rhs,
-                "fp.mul": lhs * rhs,
-                "fp.div": lhs / rhs if rhs else float("inf") if lhs > 0 else float("-inf") if lhs < 0 else float("nan"),
-            }[head]
-        if head in ("fp.neg", "fp.abs") and len(args) == 1:
-            v = self._theory_value(args[0], env)
-            return -v if head == "fp.neg" else abs(v)
-        if head in ("fp.lt", "fp.gt", "fp.leq", "fp.geq", "fp.eq", "<", ">", "<=", ">=", "=") and len(args) >= 2:
-            vals = [self._theory_value(a, env) for a in args]
-            cmp = {
-                "fp.lt": "<", "fp.gt": ">", "fp.leq": "<=", "fp.geq": ">=", "fp.eq": "=",
-            }.get(head, head)
-            ok = True
-            for a, b in zip(vals, vals[1:]):
-                if isinstance(a, bool) or isinstance(b, bool):
-                    raise Unsupported("comparison on booleans")
-                if cmp == "<":
-                    ok = ok and a < b
-                elif cmp == ">":
-                    ok = ok and a > b
-                elif cmp == "<=":
-                    ok = ok and a <= b
-                elif cmp == ">=":
-                    ok = ok and a >= b
-                else:
-                    ok = ok and a == b
-            return ok
-        if head in ("+", "*") and len(args) >= 2:
-            vals = [self._theory_value(a, env) for a in args]
-            out = vals[0]
-            for v in vals[1:]:
-                out = out + v if head == "+" else out * v
-            return out
-        if head == "-" and len(args) in (1, 2):
-            vals = [self._theory_value(a, env) for a in args]
-            return -vals[0] if len(vals) == 1 else vals[0] - vals[1]
-        if head == "/" and len(args) == 2:
-            lhs, rhs = (self._theory_value(a, env) for a in args)
-            if rhs == 0:
-                raise Unsupported("division by zero")
-            return lhs / rhs
-        raise Unsupported(f"theory operator {head}")
-
-    def _theory_witness(self) -> bool | None:
-        """True when a sampled assignment satisfies every theory assert,
-        None when sampling can't settle it."""
+    def _theory_witness(self) -> bool:
+        """True when some candidate assignment of the names the theory
+        asserts mention satisfies every one of them; False when none does or
+        the asserts fall outside the fragment."""
         asserts = [a for fr in self.frames for a in fr.theory]
         if not asserts:
             return True
-        names = sorted(self.theory)
+        names = sorted(set().union(*(mentioned for _term, mentioned in asserts)))
         if len(names) > _MAX_THEORY_VARS:
-            return None
-        domains = [
-            _FP_CANDIDATES if self.theory[n] == "fp" else _REAL_CANDIDATES
-            for n in names
-        ]
-        for combo in itertools.product(*domains):
-            env = dict(zip(names, combo))
-            try:
-                if all(self._theory_value(a, env) is True for a in asserts):
-                    return True
-            except Unsupported:
-                return None
-        return None
+            return False
+        # one row per candidate assignment: at most 8^4 rows
+        columns = np.meshgrid(*(_CANDIDATES[self.theory[n]] for n in names), indexing="ij")
+        env = {n: NumVal(col.ravel()) for n, col in zip(names, columns)}
+        try:
+            rows = functools.reduce(
+                operator.and_, (self._expect(BoolVal, term, env).arr for term, _ in asserts)
+            )
+        except Unsupported:
+            return False
+        return bool(rows.any())
 
     # -- commands
 
@@ -548,10 +504,7 @@ class Engine:
             return "unsat"
         if any(fr.tainted for fr in self.frames):
             return "unknown"
-        witness = self._theory_witness()
-        if witness is True:
-            return "sat"
-        return "unknown"
+        return "sat" if self._theory_witness() else "unknown"
 
     def get_value(self, terms) -> str:
         mask = self.frames[-1].mask

@@ -500,6 +500,22 @@ class TestMain:
         assert (record.status, code, record.count) == ("error", EXIT_ERROR, None)
         assert "line 3" in record.detail and "reset" in record.detail
 
+    @pytest.mark.parametrize("mode", ["count", "baseline"])
+    def test_unconstrained_floats_do_not_leave_the_fragment(self, tmp_path, capsys, mode):
+        # five Float32s are declared but only f1 is constrained: the side
+        # condition samples f1 alone, within the four-variable limit
+        script = tmp_path / "hybrid.smt2"
+        script.write_text(
+            "(declare-const x (_ BitVec 6))\n(assert (bvult x #b010100))\n"
+            + "".join(f"(declare-const f{i} Float32)\n" for i in range(1, 6))
+            + "(assert (fp.lt f1 (_ +zero 8 24)))\n"
+        )
+        code = main([mode, str(script), "--project", "x", "--solver-cmd", MINISOLVE_CMD])
+        record = ResultRecord.from_json(capsys.readouterr().out)
+        assert (record.status, code) == ("ok", EXIT_OK)
+        if mode == "baseline":
+            assert record.count == 20
+
     def test_baseline_uses_environment_solver(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PACT_SOLVER_CMD", MINISOLVE_CMD)
         spec = InstanceSpec("inst", "scatter", 8, 25, seed=6)

@@ -6,7 +6,6 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pact.errors import RangeExceeded
 from pact.hashing import (
     Family,
     HashConstraint,
@@ -99,19 +98,6 @@ def test_smallest_prime_above_matches_trial_division():
         assert smallest_prime_above(n) == _next_prime_trial(n)
     for n in [10**6, 2**31, 2**33 + 5]:
         assert smallest_prime_above(n) == _next_prime_trial(n)
-
-
-def test_smallest_prime_above_range_exceeded():
-    with pytest.raises(RangeExceeded):
-        smallest_prime_above(2**64)
-
-
-def test_smallest_prime_above_near_limit():
-    # largest prime below 2^64 is 2^64 - 59; above it the search would
-    # cross the exact-primality range
-    assert smallest_prime_above(2**64 - 60) == 2**64 - 59
-    with pytest.raises(RangeExceeded):
-        smallest_prime_above(2**64 - 58)
 
 
 # ---------------------------------------------------------------------------

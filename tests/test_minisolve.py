@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from pact.minisolve import Engine, _decode_fp_literal
-from pact.smtlib import iter_top_forms
+from pact.smtlib import declaration, iter_top_forms
 
 
 def parse_term(text):
@@ -186,6 +186,92 @@ class TestTheorySampling:
         nan = _decode_fp_literal("#b0", "#b11111111", "#b1" + "0" * 22)
         assert nan != nan
         assert _decode_fp_literal("#b0", "#b00000000", "#b" + "0" * 23) == 0.0
+
+
+def fp32(sign, exponent, mantissa=""):
+    """A Float32 `(fp ...)` literal; the mantissa's bits are padded to 23."""
+    return f"(fp #b{sign} #b{exponent} #b{mantissa.ljust(23, '0')})"
+
+
+HALF, TWO, THREE, FOUR = fp32(0, "01111110"), fp32(0, "10000000"), fp32(0, "10000000", "1"), fp32(0, "10000001")
+QUARTER, MINUS_ONE = fp32(0, "01111101"), fp32(1, "01111111")
+
+
+def consts(sort, *names):
+    return " ".join(f"(declare-const {name} {sort})" for name in names)
+
+
+REALS, FLOATS = consts("Real", "r", "s"), consts("Float32", "f", "g")
+
+# each row: the declarations, the asserts, and
+# the answer worked out by hand from the candidates: a float takes 0, 1,
+# -1, 0.5, 2, -2, +oo and -oo, a Real 0, 1, -1, 1/2, 2, -2, 100 and -100
+SIDE_CONDITIONS = {
+    "lt": (REALS, ["(< r 0)"], "sat"),  # r = -1
+    "gt": (REALS, ["(> r 99)"], "sat"),  # r = 100
+    "le": (REALS, ["(<= r -100)"], "sat"),
+    "ge": (REALS, ["(>= r 100)"], "sat"),
+    "no-candidate-below-minus-100": (REALS, ["(< r -100)"], "unknown"),
+    "fp.lt": (FLOATS, ["(fp.lt f (_ +zero 8 24))"], "sat"),  # f = -1
+    "fp.gt": (FLOATS, [f"(fp.gt f {THREE})"], "sat"),  # f = +oo
+    "fp.gt-finite": (FLOATS, [f"(fp.gt f {THREE})", "(fp.lt f (_ +oo 8 24))"], "unknown"),
+    "fp.leq": (FLOATS, ["(fp.leq f (_ -oo 8 24))"], "sat"),
+    "fp.geq": (FLOATS, ["(fp.geq f (_ +oo 8 24))"], "sat"),
+    "fp.eq": (FLOATS, [f"(fp.eq f {HALF})"], "sat"),
+    "fp.eq-no-candidate": (FLOATS, [f"(fp.eq f {THREE})"], "unknown"),
+    "n-ary-plus": (REALS, ["(= (+ r r r) 6)"], "sat"),  # r = 2
+    "minus": (REALS, ["(= (- r 1) 99)"], "sat"),  # r = 100
+    "n-ary-times": (REALS, ["(= (* r r r) -8)"], "sat"),  # r = -2
+    "divide": (REALS, ["(= (/ r 2) 50)"], "sat"),  # r = 100
+    "real-arithmetic": (REALS, ["(> (* r r) 3)"], "sat"),  # r = 2
+    "fp.add": (FLOATS, [f"(fp.eq (fp.add RNE f f) {FOUR})"], "sat"),  # f = 2
+    "fp.sub": (FLOATS, ["(fp.eq (fp.sub RNE f (_ +oo 8 24)) (_ -oo 8 24))"], "sat"),  # f = 0
+    "fp.mul": (FLOATS, [f"(fp.eq (fp.mul RNE f f) {QUARTER})"], "sat"),  # f = 0.5
+    "fp.div-by-plus-zero": (FLOATS, ["(fp.eq (fp.div RNE f (_ +zero 8 24)) (_ +oo 8 24))"], "sat"),  # f = 1
+    "fp.div-no-finite-quotient": (FLOATS, ["(fp.eq (fp.div RNE f (_ +zero 8 24)) (_ +zero 8 24))"], "unknown"),
+    "fp.neg": (FLOATS, [f"(fp.eq (fp.neg f) {TWO})"], "sat"),  # f = -2
+    "fp.abs": (FLOATS, [f"(fp.lt f {MINUS_ONE})", f"(fp.eq (fp.abs f) {TWO})"], "sat"),  # f = -2
+    "fp.abs-never-negative": (FLOATS, ["(fp.lt (fp.abs f) (_ -zero 8 24))"], "unknown"),
+    "unary-minus": (REALS, ["(= (- r) 100)"], "sat"),  # r = -100
+    "applied-plus-zero": (FLOATS, ["(fp.eq f ((_ +zero 8 24)))"], "sat"),
+    "minus-zero-equals-zero": (FLOATS, ["(fp.eq f (_ -zero 8 24))"], "sat"),  # f = 0
+    "nan-equals-nothing": (FLOATS, ["(fp.eq f (_ NaN 8 24))"], "unknown"),
+    "fp-chain": (FLOATS, ["(fp.lt (_ -oo 8 24) f (_ +oo 8 24))"], "sat"),  # f = 0
+    "decimal": (REALS, ["(= r 0.5)"], "sat"),  # r = 1/2
+    "negative-numeral": (REALS, ["(= r -1)"], "sat"),
+    "chain": (REALS, ["(< 0 r 1)"], "sat"),  # r = 1/2
+    "chain-no-candidate": (REALS, ["(< 0.6 r 1)"], "unknown"),
+    "distinct-self": (REALS, ["(distinct r r)"], "unknown"),
+    "and": (REALS, ["(and (> r 0) (< r 1))"], "sat"),  # r = 1/2
+    "or": (REALS, ["(or (< r -100) (> r 100))"], "unknown"),
+    "not": (REALS, ["(not (= r 0))"], "sat"),
+    "implies": (REALS, ["(=> (> r 0) (= r 100))"], "sat"),  # r = 100, or r <= 0
+    "two-asserts": (REALS, ["(> r 0)", "(< r 0)"], "unknown"),
+    "self-comparison": (REALS, ["(< r r)"], "unknown"),
+    "zero-divisor-among-candidates": (REALS, ["(= (/ 1 r) 2)"], "unknown"),
+    "mixed-grid-theory": (consts("(_ BitVec 2)", "x") + consts("Real", "r"), ["(=> (= x #b00) (> r 0))"], "unknown"),
+    "five-mentioned": (consts("Real", *"abcde"), ["(< a b c d e)"], "unknown"),
+    # answered otherwise, or `unknown`, before the evaluator was shared with the grid
+    "let": (REALS, ["(let ((t (* r 2))) (= t 4))"], "sat"),  # r = 2
+    "five-declared-one-mentioned": (consts("Float32", "f1", "f2", "f3", "f4", "f5"), ["(fp.lt f1 (_ +zero 8 24))"], "sat"),
+    "distinct": (REALS, ["(distinct r s 0)"], "sat"),  # r = 1, s = -1
+    "xor": (REALS, ["(xor (> r 0) (> s 0))"], "sat"),  # r = 1, s = 0
+    "zeros-are-not-identical": (FLOATS, ["(= (_ +zero 8 24) (_ -zero 8 24))"], "unsat"),
+    "nan-is-identical-to-nan": (FLOATS, ["(= (_ NaN 8 24) (_ NaN 8 24))"], "sat"),
+    "no-float-is-both-zeros": (FLOATS, ["(= f (_ +zero 8 24))", "(= f (_ -zero 8 24))"], "unknown"),
+    "boolean-equality": (REALS, ["(= (< r 0) (> s 0))"], "sat"),  # r = -1, s = 1
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("declarations,asserts,expected", SIDE_CONDITIONS.values(), ids=SIDE_CONDITIONS)
+def test_side_condition(declarations, asserts, expected):
+    engine = Engine()
+    for sexpr, _form in iter_top_forms(declarations):
+        engine.declare(*declaration(sexpr))
+    for text in asserts:
+        engine.add_assert(parse_term(text))
+    assert engine.check_sat() == expected
 
 
 class TestProtocol:
